@@ -4,7 +4,6 @@
    Usage:
      dune exec bench/main.exe                  # everything
      dune exec bench/main.exe -- table2        # one experiment
-     dune exec bench/main.exe -- --bechamel    # also time each generator
      dune exec bench/main.exe -- --json BENCH table2 cosim
          # additionally write BENCH_table2.json, BENCH_cosim.json
 
@@ -825,82 +824,6 @@ let ablation_dse () =
     \ explores the space efficiently without losing much quality)"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel timing of each generator                                   *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_run () =
-  let open Bechamel in
-  let open Toolkit in
-  print_endline "== Bechamel: timing each table/figure generator ==";
-  (* Reusable analyzed inputs so the tests measure generation, not
-     interpretation. *)
-  let atax = Core.Cayman.analyze (Suite.compile (Suite.find_exn "atax")) in
-  let fig2_a = Core.Cayman.analyze_source fig2_src in
-  let fig4_a = Core.Cayman.analyze_source fig4_src in
-  let fig4_ctx = Hashtbl.find fig4_a.Core.Cayman.ctxs "kernel" in
-  let fig4_region =
-    let ft = Option.get (An.Wpst.func_tree fig4_a.Core.Cayman.wpst "kernel") in
-    let r = ref None in
-    An.Region.iter
-      (fun x ->
-        if x.An.Region.kind = An.Region.Loop_region && !r = None then
-          r := Some x)
-      ft.An.Wpst.root;
-    Option.get !r
-  in
-  let select_on analyzed gen () =
-    ignore
-      (Core.Select.select ~gen analyzed.Core.Cayman.ctxs
-         analyzed.Core.Cayman.wpst analyzed.Core.Cayman.profile
-        : Core.Solution.t list * Core.Select.stats)
-  in
-  let tests =
-    Test.make_grouped ~name:"cayman"
-      [ Test.make ~name:"table1"
-          (Staged.stage (fun () -> ignore (table1_string () : string)));
-        Test.make ~name:"fig2-wpst"
-          (Staged.stage (fun () ->
-               ignore (An.Wpst.build fig2_a.Core.Cayman.program : An.Wpst.t)));
-        Test.make ~name:"fig4-estimates"
-          (Staged.stage (fun () ->
-               ignore
-                 (Hls.Kernel.estimate_all fig4_ctx fig4_region
-                    (Hls.Kernel.default_configs Hls.Kernel.Heuristic)
-                  : Hls.Kernel.point list)));
-        Test.make ~name:"table2-selection-atax"
-          (Staged.stage (select_on atax (Core.Cayman.gen Hls.Kernel.Heuristic)));
-        Test.make ~name:"fig6-baselines-atax"
-          (Staged.stage (select_on atax Cayman_baselines.Qscores.gen));
-        Test.make ~name:"ablation-merge-atax"
-          (Staged.stage (fun () ->
-               let frontier, _ =
-                 Core.Select.select
-                   ~gen:(Core.Cayman.gen Hls.Kernel.Heuristic)
-                   atax.Core.Cayman.ctxs atax.Core.Cayman.wpst
-                   atax.Core.Cayman.profile
-               in
-               ignore
-                 (Core.Cayman.merge atax (best frontier 0.25)
-                  : Core.Merge.result))) ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name v ->
-      let est =
-        match Analyze.OLS.estimates v with
-        | Some (e :: _) -> e
-        | Some [] | None -> nan
-      in
-      Printf.printf "  %-32s %12.0f ns/run\n" name est)
-    results
-
-(* ------------------------------------------------------------------ *)
 (* Fault-injection campaign                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1103,13 +1026,9 @@ let serve_load ?(name = "serve-load") ?(benchmarks = Suite.all)
   Memo.Store.reset_memory ();
   let sock = Filename.temp_file "cayman-serve-bench" ".sock" in
   Sys.remove sock;
-  let config =
-    { Serve.Server.default_config with
-      Serve.Server.sc_interp = Some Sim.Interp.Staged;
-      sc_cache = true;
-      sc_cache_dir = Some store_dir }
-  in
-  let daemon = Domain.spawn (fun () -> Serve.Server.serve_socket ~config sock) in
+  Sim.Interp.set_engine Sim.Interp.Staged;
+  Memo.Store.enable ~dir:store_dir ();
+  let daemon = Domain.spawn (fun () -> Serve.Server.serve_socket sock) in
   let rec wait_up n =
     if n = 0 then failwith "serve-load: daemon did not come up";
     match Serve.Client.connect sock with
@@ -1415,15 +1334,14 @@ let serve_chaos ?(name = "serve-chaos") ?(seed = 42) ?(duration_s = 2.0) () =
   Memo.Store.reset_memory ();
   let sock = Filename.temp_file "cayman-serve-chaos" ".sock" in
   Sys.remove sock;
+  Sim.Interp.set_engine Sim.Interp.Staged;
+  Memo.Store.enable ~dir:store_dir ();
   let config =
     { Serve.Server.default_config with
-      Serve.Server.sc_interp = Some Sim.Interp.Staged;
-      sc_cache = true;
-      sc_cache_dir = Some store_dir;
       (* small caps so the campaign actually exercises the defenses
          (the write cap still comfortably exceeds the largest single
          reply these requests produce) *)
-      sc_max_queue = 64;
+      Serve.Server.sc_max_queue = 64;
       sc_max_write_buf = 64 * 1024 }
   in
   (* deltas, not totals: serve-load may have run in this process *)
@@ -1750,7 +1668,7 @@ let fleet_bench ?(name = "fleet") ?(sizes = [ 1000; 2000; 5000; 10000 ])
 
 let usage () =
   print_endline
-    "usage: main.exe [--bechamel] [--json BASE] [--fuel N]\n\
+    "usage: main.exe [--json BASE] [--fuel N]\n\
     \                [--cache-dir DIR] [--no-cache]\n\
     \                [table1|fig2|fig4|table2|fig6|cosim|faults|profile|\n\
     \                 fleet|fleet-small|serve-load|serve-load-small|\n\
@@ -1788,8 +1706,6 @@ let () =
   (* The first spurious stdout line keeps the output diff-stable when the
      output is redirected without a terminal. *)
   let args = List.tl (Array.to_list Sys.argv) in
-  let bechamel = List.mem "--bechamel" args in
-  let args = List.filter (fun a -> a <> "--bechamel") args in
   let rec strip_json = function
     | "--json" :: base :: rest ->
       Json_out.set_base base;
@@ -1893,5 +1809,4 @@ let () =
   if Json_out.enabled () then begin
     Json_out.write "metrics" (Obs.Metrics.to_json ());
     Json_out.write "cache" (Memo.Store.report_json ~wall_s:wall)
-  end;
-  if bechamel then bechamel_run ()
+  end

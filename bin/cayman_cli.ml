@@ -63,10 +63,6 @@ let jobs_arg =
   in
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~doc ~docv:"N")
 
-(* Install an explicit --jobs as the process-wide default so every
-   engine entry point (selection, merging sweeps) sees it. *)
-let apply_jobs jobs = if jobs > 0 then Engine.Config.set_jobs jobs
-
 let fuel_arg =
   let doc =
     "Interpreter fuel budget in executed instructions (0 = default: \
@@ -74,8 +70,6 @@ let fuel_arg =
      it stop with a diagnostic instead of hanging."
   in
   Arg.(value & opt int 0 & info [ "fuel" ] ~doc ~docv:"N")
-
-let apply_fuel fuel = if fuel > 0 then Engine.Config.set_fuel fuel
 
 let interp_arg =
   let doc =
@@ -95,13 +89,6 @@ let interp_arg =
         None
     & info [ "interp" ] ~doc ~docv:"ENGINE")
 
-(* Like --jobs/--fuel: an explicit flag becomes the process-wide
-   override so every interpreter entry point (profiling, cosim golden
-   runs, fault campaigns) sees the same engine. *)
-let apply_interp = function
-  | None -> ()
-  | Some e -> Sim.Interp.set_engine e
-
 let cache_dir_arg =
   let doc =
     "Memoization cache directory (default: $(b,CAYMAN_CACHE_DIR), else \
@@ -117,12 +104,38 @@ let no_cache_arg =
   in
   Arg.(value & flag & info [ "no-cache" ] ~doc)
 
-(* The library default is cache-off; the CLI turns it on after flag
+(* The two settings terms below apply their flags when cmdliner
+   evaluates them. Each is the last term of its command, so a bad flag
+   exits before anything is installed.
+
+   The library default is cache-off; the CLI turns it on after flag
    parsing. Fault campaigns force recomputation internally whatever the
    ambient state (see Fault.Campaign). *)
-let apply_cache cache_dir no_cache =
-  if no_cache then Memo.Store.disable ()
-  else Memo.Store.enable ?dir:cache_dir ()
+let cache_settings =
+  let apply cache_dir no_cache =
+    if no_cache then Memo.Store.disable ()
+    else Memo.Store.enable ?dir:cache_dir ()
+  in
+  Term.(const apply $ cache_dir_arg $ no_cache_arg)
+
+(* The process-wide settings of the interpreting subcommands, so every
+   entry point (selection, merging sweeps, profiling, cosim golden
+   runs, fault campaigns) sees them: an explicit flag becomes the
+   Engine.Config override, an absent one leaves the environment and the
+   default in charge. [~jobs:false] omits --jobs; [?pin_interp] is
+   installed when --interp is absent, so it also beats CAYMAN_INTERP. *)
+let settings ?(jobs = true) ?pin_interp () =
+  let apply jobs fuel interp () =
+    if jobs > 0 then Engine.Config.set_jobs jobs;
+    if fuel > 0 then Engine.Config.set_fuel fuel;
+    match interp, pin_interp with
+    | Some e, _ | None, Some e -> Sim.Interp.set_engine e
+    | None, None -> ()
+  in
+  Term.(
+    const apply
+    $ (if jobs then jobs_arg else const 0)
+    $ fuel_arg $ interp_arg $ cache_settings)
 
 (* Convert the documented pipeline exceptions into clean one-line
    diagnostics + exit 1; anything else is a genuine crash and should
@@ -173,11 +186,7 @@ let with_trace trace f =
    subcommands' stdout by construction. *)
 let gen_of_mode = Serve.Handlers.gen_of_mode
 
-let run_cmd bench file budget mode alpha jobs fuel interp cache_dir no_cache trace =
-  apply_jobs jobs;
-  apply_fuel fuel;
-  apply_interp interp;
-  apply_cache cache_dir no_cache;
+let run_cmd bench file budget mode alpha trace () =
   with_trace trace @@ fun () ->
   with_diagnostics @@ fun () ->
   match load_program ~bench ~file with
@@ -187,10 +196,7 @@ let run_cmd bench file budget mode alpha jobs fuel interp cache_dir no_cache tra
      | Error m -> prerr_endline ("cayman: " ^ m); 1
      | Ok text -> print_string text; 0)
 
-let dump_cmd bench file fuel interp cache_dir no_cache trace =
-  apply_fuel fuel;
-  apply_interp interp;
-  apply_cache cache_dir no_cache;
+let dump_cmd bench file trace () =
   with_trace trace @@ fun () ->
   with_diagnostics @@ fun () ->
   match load_program ~bench ~file with
@@ -203,11 +209,7 @@ let out_arg =
   let doc = "Output directory for generated Verilog." in
   Arg.(value & opt string "cayman_rtl" & info [ "o"; "out" ] ~doc)
 
-let emit_cmd bench file budget out jobs fuel interp cache_dir no_cache trace =
-  apply_jobs jobs;
-  apply_fuel fuel;
-  apply_interp interp;
-  apply_cache cache_dir no_cache;
+let emit_cmd bench file budget out trace () =
   with_trace trace @@ fun () ->
   with_diagnostics @@ fun () ->
   match load_program ~bench ~file with
@@ -280,13 +282,7 @@ let max_inv_arg =
 
 (* Differential co-simulation (body shared with the daemon — see
    Serve.Handlers.cosim_text). *)
-let cosim_cmd bench file budget mode jobs max_inv fuel interp cache_dir
-    no_cache
-    trace =
-  apply_jobs jobs;
-  apply_fuel fuel;
-  apply_interp interp;
-  apply_cache cache_dir no_cache;
+let cosim_cmd bench file budget mode max_inv trace () =
   with_trace trace @@ fun () ->
   with_diagnostics @@ fun () ->
   match load_program ~bench ~file with
@@ -299,8 +295,7 @@ let cosim_cmd bench file budget mode jobs max_inv fuel interp cache_dir
      | Error m -> prerr_endline ("cayman: " ^ m); 1
      | Ok (text, ok) -> print_string text; if ok then 0 else 1)
 
-let graph_cmd bench file out cache_dir no_cache trace =
-  apply_cache cache_dir no_cache;
+let graph_cmd bench file out trace () =
   with_trace trace @@ fun () ->
   match load_program ~bench ~file with
   | Error m -> prerr_endline ("cayman: " ^ m); 1
@@ -332,13 +327,7 @@ let list_cmd () =
 (* Run the full flow with tracing armed internally and report where the
    time and the work went: a per-span rollup plus every pipeline metric
    grouped by phase. *)
-let stats_cmd bench file budget mode alpha jobs fuel interp cache_dir
-    no_cache
-    trace =
-  apply_jobs jobs;
-  apply_fuel fuel;
-  apply_interp interp;
-  apply_cache cache_dir no_cache;
+let stats_cmd bench file budget mode alpha trace () =
   with_diagnostics @@ fun () ->
   match load_program ~bench ~file with
   | Error m -> prerr_endline ("cayman: " ^ m); 1
@@ -420,14 +409,10 @@ let stats_cmd bench file budget mode alpha jobs fuel interp cache_dir
 let default_fault_benches =
   [ "atax"; "bicg"; "mvt"; "trisolv"; "doitgen"; "fft"; "spmv"; "nw" ]
 
-let faults_cmd seed n_faults max_inv benches all budget stage_benches jobs
-    fuel interp cache_dir no_cache json trace =
-  apply_jobs jobs;
-  apply_fuel fuel;
-  apply_interp interp;
-  (* accepted for interface uniformity; the campaign recomputes through
-     [Memo.Store.without_cache] regardless *)
-  apply_cache cache_dir no_cache;
+(* The cache flags are accepted for interface uniformity; the campaign
+   recomputes through [Memo.Store.without_cache] regardless. *)
+let faults_cmd seed n_faults max_inv benches all budget stage_benches json
+    trace () =
   with_trace trace @@ fun () ->
   with_diagnostics @@ fun () ->
   let resolve names =
@@ -480,21 +465,19 @@ let faults_cmd seed n_faults max_inv benches all budget stage_benches jobs
 let run_t =
   Cmd.v (Cmd.info "run" ~doc:"Run the full Cayman flow on a program")
     Term.(const run_cmd $ bench_arg $ file_arg $ budget_arg $ mode_arg
-          $ alpha_arg $ jobs_arg $ fuel_arg $ interp_arg $ cache_dir_arg
-          $ no_cache_arg $ trace_arg)
+          $ alpha_arg $ trace_arg $ settings ())
 
 let dump_t =
   Cmd.v (Cmd.info "dump" ~doc:"Dump IR, wPST and profile of a program")
-    Term.(const dump_cmd $ bench_arg $ file_arg $ fuel_arg $ interp_arg
-          $ cache_dir_arg $ no_cache_arg $ trace_arg)
+    Term.(const dump_cmd $ bench_arg $ file_arg $ trace_arg
+          $ settings ~jobs:false ())
 
 let emit_t =
   Cmd.v
     (Cmd.info "emit"
        ~doc:"Emit Verilog netlists for the selected accelerators")
     Term.(const emit_cmd $ bench_arg $ file_arg $ budget_arg $ out_arg
-          $ jobs_arg $ fuel_arg $ interp_arg $ cache_dir_arg $ no_cache_arg
-          $ trace_arg)
+          $ trace_arg $ settings ())
 
 let cosim_t =
   let mode_arg =
@@ -507,8 +490,7 @@ let cosim_t =
          "Differentially co-simulate selected kernel netlists against the \
           golden interpreter (plus a static lint of each netlist)")
     Term.(const cosim_cmd $ bench_arg $ file_arg $ budget_arg $ mode_arg
-          $ jobs_arg $ max_inv_arg $ fuel_arg $ interp_arg $ cache_dir_arg
-          $ no_cache_arg $ trace_arg)
+          $ max_inv_arg $ trace_arg $ settings ())
 
 let faults_t =
   let seed_arg =
@@ -551,15 +533,14 @@ let faults_t =
           then arm seeded faults at every pipeline stage boundary and \
           verify the pipeline degrades instead of crashing")
     Term.(const faults_cmd $ seed_arg $ n_faults_arg $ max_inv_arg
-          $ benches_arg $ all_arg $ budget_arg $ stage_arg $ jobs_arg
-          $ fuel_arg $ interp_arg $ cache_dir_arg $ no_cache_arg $ json_arg
-          $ trace_arg)
+          $ benches_arg $ all_arg $ budget_arg $ stage_arg $ json_arg
+          $ trace_arg $ settings ())
 
 let graph_t =
   Cmd.v
     (Cmd.info "graph" ~doc:"Write graphviz dot files (CFGs + wPST)")
-    Term.(const graph_cmd $ bench_arg $ file_arg $ out_arg $ cache_dir_arg
-          $ no_cache_arg $ trace_arg)
+    Term.(const graph_cmd $ bench_arg $ file_arg $ out_arg $ trace_arg
+          $ cache_settings)
 
 let list_t =
   Cmd.v (Cmd.info "list" ~doc:"List suite benchmarks")
@@ -573,20 +554,14 @@ let stats_t =
           metrics (region counts, prune/memo hits, design points, DP \
           frontier sizes)")
     Term.(const stats_cmd $ bench_arg $ file_arg $ budget_arg $ mode_arg
-          $ alpha_arg $ jobs_arg $ fuel_arg $ interp_arg $ cache_dir_arg
-          $ no_cache_arg $ trace_arg)
+          $ alpha_arg $ trace_arg $ settings ())
 
 (* cayman fleet — generate a seeded fleet of MiniC programs, push every
    one through the full compile/profile/select flow, and merge the
    selected accelerators across programs under a shared area budget
    (lib/fleet). The report is byte-identical for every --jobs value. *)
 
-let fleet_cmd kernels seed budget per_budget json jobs fuel interp
-    cache_dir no_cache trace =
-  apply_jobs jobs;
-  apply_fuel fuel;
-  apply_interp interp;
-  apply_cache cache_dir no_cache;
+let fleet_cmd kernels seed budget per_budget json trace () =
   with_trace trace @@ fun () ->
   with_diagnostics @@ fun () ->
   let opts =
@@ -643,8 +618,7 @@ let fleet_t =
           area saved versus per-program merging, byte-identically for \
           every job count")
     Term.(const fleet_cmd $ kernels_arg $ seed_arg $ fleet_budget_arg
-          $ per_budget_arg $ json_arg $ jobs_arg $ fuel_arg $ interp_arg
-          $ cache_dir_arg $ no_cache_arg $ trace_arg)
+          $ per_budget_arg $ json_arg $ trace_arg $ settings ())
 
 (* cayman cache {stats,gc,clear} — maintenance for the memoization store.
    These operate on the directory directly (no ambient enable), so they
@@ -685,12 +659,10 @@ let cache_gc_cmd cache_dir max_mb =
     match Memo.Store.open_store dir with
     | Error m -> prerr_endline ("cayman: " ^ m); 1
     | Ok store ->
-      let max_bytes =
-        match max_mb with
-        | Some mb -> mb * 1024 * 1024
-        | None -> Memo.Store.default_max_bytes ()
+      Option.iter (Engine.Config.set Memo.Store.max_mb) max_mb;
+      let evicted, freed =
+        Memo.Store.gc store ~max_bytes:(Memo.Store.default_max_bytes ())
       in
-      let evicted, freed = Memo.Store.gc store ~max_bytes in
       Printf.printf "evicted %d entries, freed %d bytes\n" evicted freed;
       0
 
@@ -736,21 +708,16 @@ let cache_t =
 (* cayman serve — the persistent compilation daemon. One process, one
    shared engine pool and warm memo layer; many concurrent clients.
    Unlike the one-shot subcommands, the interpreter engine is pinned at
-   startup (staged unless --interp says otherwise) so every reply over
-   the daemon's lifetime comes from the same engine. *)
+   startup (staged unless --interp says otherwise, whatever
+   CAYMAN_INTERP says) so every reply over the daemon's lifetime comes
+   from the same engine. *)
 
-let serve_cmd socket stdio jobs fuel interp cache_dir no_cache max_queue
-    max_write_buf drain_timeout trace =
+let serve_cmd socket stdio max_queue max_write_buf drain_timeout trace () =
   with_trace trace @@ fun () ->
   with_diagnostics @@ fun () ->
   let config =
     { Serve.Server.default_config with
-      Serve.Server.sc_jobs = jobs;
-      sc_fuel = fuel;
-      sc_interp = Some (Option.value interp ~default:Sim.Interp.Staged);
-      sc_cache_dir = cache_dir;
-      sc_cache = not no_cache;
-      sc_max_queue = max_queue;
+      Serve.Server.sc_max_queue = max_queue;
       sc_max_write_buf = max_write_buf;
       sc_drain_timeout_s = drain_timeout;
       (* a real daemon process: SIGTERM means drain and exit 0 *)
@@ -822,9 +789,9 @@ let serve_t =
           reply; overload is shed at a bounded queue, slow readers are \
           disconnected at a bounded write buffer, and SIGTERM drains \
           gracefully")
-    Term.(const serve_cmd $ socket_arg $ stdio_arg $ jobs_arg $ fuel_arg
-          $ interp_arg $ cache_dir_arg $ no_cache_arg $ max_queue_arg
-          $ max_write_buf_arg $ drain_timeout_arg $ trace_arg)
+    Term.(const serve_cmd $ socket_arg $ stdio_arg $ max_queue_arg
+          $ max_write_buf_arg $ drain_timeout_arg $ trace_arg
+          $ settings ~pin_interp:Sim.Interp.Staged ())
 
 (* cayman bench-diff OLD.json NEW.json — regression gate over the mean
    wall times of two bench trajectory files (exit 2 on regression). *)

@@ -1,3 +1,39 @@
+(* --- settings --- *)
+
+type 'a setting = {
+  env : string;
+  parse : string -> 'a option;
+  default : unit -> 'a;
+  (* Atomic: tests flip overrides around parallel pipeline runs. *)
+  override : 'a option Atomic.t;
+}
+
+let setting ~env ~parse default =
+  { env; parse; default; override = Atomic.make None }
+
+let get s =
+  match Atomic.get s.override with
+  | Some v -> v
+  | None ->
+    (match Option.bind (Sys.getenv_opt s.env) s.parse with
+     | Some v -> v
+     | None -> s.default ())
+
+let set s v = Atomic.set s.override (Some v)
+let clear s = Atomic.set s.override None
+
+let with_set s v f =
+  let saved = Atomic.get s.override in
+  set s v;
+  Fun.protect ~finally:(fun () -> Atomic.set s.override saved) f
+
+let positive_int s =
+  match int_of_string_opt (String.trim s) with
+  | Some n when n >= 1 -> Some n
+  | Some _ | None -> None
+
+(* --- jobs --- *)
+
 let env_var = "CAYMAN_JOBS"
 
 (* More domains than this never helps (the container has far fewer
@@ -6,29 +42,18 @@ let max_jobs = 64
 
 let clamp n = max 1 (min max_jobs n)
 
-let override : int option Atomic.t = Atomic.make None
+let jobs_setting =
+  setting ~env:env_var
+    ~parse:(fun s -> Option.map clamp (positive_int s))
+    (fun () -> clamp (Domain.recommended_domain_count ()))
 
-let set_jobs n = Atomic.set override (Some (clamp n))
-let clear_jobs () = Atomic.set override None
-
-let from_env () =
-  match Sys.getenv_opt env_var with
-  | None -> None
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some n when n >= 1 -> Some (clamp n)
-     | Some _ | None -> None)
+let set_jobs n = set jobs_setting (clamp n)
+let clear_jobs () = clear jobs_setting
 
 let jobs ?jobs () =
   match jobs with
   | Some n when n >= 1 -> clamp n
-  | Some _ | None ->
-    (match Atomic.get override with
-     | Some n -> n
-     | None ->
-       (match from_env () with
-        | Some n -> n
-        | None -> clamp (Domain.recommended_domain_count ())))
+  | Some _ | None -> get jobs_setting
 
 (* --- fuel --- *)
 
@@ -36,26 +61,13 @@ let fuel_env_var = "CAYMAN_FUEL"
 
 let default_fuel = 2_000_000_000
 
-let fuel_override : int option Atomic.t = Atomic.make None
+let fuel_setting =
+  setting ~env:fuel_env_var ~parse:positive_int (fun () -> default_fuel)
 
-let set_fuel n = if n >= 1 then Atomic.set fuel_override (Some n)
-let clear_fuel () = Atomic.set fuel_override None
-
-let fuel_from_env () =
-  match Sys.getenv_opt fuel_env_var with
-  | None -> None
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some n when n >= 1 -> Some n
-     | Some _ | None -> None)
+let set_fuel n = if n >= 1 then set fuel_setting n
+let clear_fuel () = clear fuel_setting
 
 let fuel ?fuel () =
   match fuel with
   | Some n when n >= 1 -> n
-  | Some _ | None ->
-    (match Atomic.get fuel_override with
-     | Some n -> n
-     | None ->
-       (match fuel_from_env () with
-        | Some n -> n
-        | None -> default_fuel))
+  | Some _ | None -> get fuel_setting

@@ -1,4 +1,27 @@
-(** Global parallelism configuration for the evaluation engine.
+(** Process-wide settings: the engine's worker count and fuel budget
+    here, the interpreter engine in [Cayman_sim.Interp], the store's
+    directory and size cap in [Memo.Store]. Each resolves the same way:
+    an override installed with {!set} (a CLI flag), else its
+    environment variable when it parses, else a built-in default. *)
+
+type 'a setting
+
+val setting :
+  env:string -> parse:(string -> 'a option) -> (unit -> 'a) -> 'a setting
+(** [setting ~env ~parse default] *)
+
+val get : 'a setting -> 'a
+val set : 'a setting -> 'a -> unit
+val clear : 'a setting -> unit
+
+val with_set : 'a setting -> 'a -> (unit -> 'b) -> 'b
+(** [with_set s v f] runs [f] with the override [v], then restores the
+    previous override (or its absence). *)
+
+val positive_int : string -> int option
+(** A trimmed integer [>= 1]; anything else is [None]. *)
+
+(** {1 Jobs}
 
     The worker count used by {!Pool} when none is given explicitly is
     resolved in this order:

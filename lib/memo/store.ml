@@ -31,17 +31,19 @@ let timed f =
 
 (* --- directories --- *)
 
-let default_dir () =
-  match Sys.getenv_opt "CAYMAN_CACHE_DIR" with
-  | Some d when d <> "" -> d
-  | _ ->
-    (match Sys.getenv_opt "XDG_CACHE_HOME" with
-     | Some d when d <> "" -> Filename.concat d "cayman"
-     | _ ->
-       (match Sys.getenv_opt "HOME" with
-        | Some h when h <> "" ->
-          Filename.concat (Filename.concat h ".cache") "cayman"
-        | _ -> ".cayman-cache"))
+let dir_setting =
+  Engine.Config.setting ~env:"CAYMAN_CACHE_DIR"
+    ~parse:(fun d -> if d = "" then None else Some d)
+    (fun () ->
+      match Sys.getenv_opt "XDG_CACHE_HOME" with
+      | Some d when d <> "" -> Filename.concat d "cayman"
+      | _ ->
+        (match Sys.getenv_opt "HOME" with
+         | Some h when h <> "" ->
+           Filename.concat (Filename.concat h ".cache") "cayman"
+         | _ -> ".cayman-cache"))
+
+let default_dir () = Engine.Config.get dir_setting
 
 let mkdir_p dir =
   let rec go d =
@@ -284,16 +286,11 @@ let gc t ~max_bytes =
     !evicted, !freed
   end
 
-let default_max_bytes () =
-  let mb =
-    match Sys.getenv_opt "CAYMAN_CACHE_MAX_MB" with
-    | Some s ->
-      (match int_of_string_opt (String.trim s) with
-       | Some n when n > 0 -> n
-       | Some _ | None -> 2048)
-    | None -> 2048
-  in
-  mb * 1024 * 1024
+let max_mb =
+  Engine.Config.setting ~env:"CAYMAN_CACHE_MAX_MB"
+    ~parse:Engine.Config.positive_int (fun () -> 2048)
+
+let default_max_bytes () = Engine.Config.get max_mb * 1024 * 1024
 
 let clear dir =
   if not (Sys.file_exists dir) then

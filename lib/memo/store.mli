@@ -109,7 +109,11 @@ val stats_of : t -> stats
     bytes freed). *)
 val gc : t -> max_bytes:int -> int * int
 
-(** [CAYMAN_CACHE_MAX_MB] * 2^20, default 2 GiB. *)
+(** The LRU size cap in MiB: override (the CLI's [cache gc --max-mb]),
+    else [CAYMAN_CACHE_MAX_MB], else 2048. *)
+val max_mb : int Engine.Config.setting
+
+(** {!max_mb} * 2^20. *)
 val default_max_bytes : unit -> int
 
 (** Remove every entry under the directory — refusing, with [Error],

@@ -196,11 +196,13 @@ let parse_primitives () =
     hdrs;
   prims
 
-let primitive_table = lazy (parse_primitives ())
+(* Built eagerly at module init and read-only afterwards: a [lazy]
+   forced from several domains at once raises
+   [CamlinternalLazy.Undefined]. *)
+let primitive_table = parse_primitives ()
 
 let check (nl : Hls.Netlist.structure) =
   let open Hls.Netlist in
-  let prims = Lazy.force primitive_table in
   let findings = ref [] in
   let report rule fmt =
     Printf.ksprintf (fun d -> findings := finding rule d :: !findings) fmt
@@ -242,7 +244,7 @@ let check (nl : Hls.Netlist.structure) =
      drive declared wires *)
   List.iter
     (fun (inst : instance) ->
-      match Hashtbl.find_opt prims inst.i_module with
+      match Hashtbl.find_opt primitive_table inst.i_module with
       | None ->
         report "unknown-module" "instance %s references undefined module %s"
           inst.i_name inst.i_module

@@ -259,14 +259,3 @@ let shutdown t = ignore (rpc t "shutdown")
 
 let telemetry t = rpc t "telemetry"
 let log_tail t ?n () = rpc t ?n "log-tail"
-
-(* The streaming path: one request, many replies under the same id.
-   The first frame comes back immediately; the daemon pushes another
-   every window tick, and [watch_next] pulls them in arrival order. *)
-let watch t =
-  let r = Protocol.request ~id:(fresh_id t) "watch" in
-  send t r;
-  let first = recv t ~id:r.Protocol.rq_id in
-  r.Protocol.rq_id, first
-
-let watch_next t ~id = recv t ~id

@@ -114,12 +114,3 @@ val telemetry : t -> Protocol.reply
 
 (** Last [n] (default 20) audit records as a JSON document. *)
 val log_tail : t -> ?n:int -> unit -> Protocol.reply
-
-(** Start a telemetry stream: sends [watch], returns the stream id and
-    the immediate first frame. The daemon pushes another frame under
-    the same id every window tick; pull them with {!watch_next}. *)
-val watch : t -> int * Protocol.reply
-
-(** Next pushed frame of a {!watch} stream.
-    @raise End_of_file when the daemon hangs up. *)
-val watch_next : t -> id:int -> Protocol.reply

@@ -58,11 +58,6 @@ module Sim = Cayman_sim
 
 type config = {
   sc_max_frame : int;
-  sc_jobs : int;  (* 0 = resolve via Engine.Config *)
-  sc_fuel : int;  (* 0 = resolve via Engine.Config *)
-  sc_interp : Sim.Interp.engine option;  (* pinned at startup *)
-  sc_cache_dir : string option;
-  sc_cache : bool;
   sc_tick_s : float;  (* telemetry window tick; <= 0 disables ticking *)
   sc_window_slots : int;  (* rolling-window depth, in ticks *)
   sc_max_queue : int;  (* pending compute requests; beyond -> shed *)
@@ -75,11 +70,6 @@ type config = {
 
 let default_config =
   { sc_max_frame = Protocol.default_max_frame;
-    sc_jobs = 0;
-    sc_fuel = 0;
-    sc_interp = None;
-    sc_cache_dir = None;
-    sc_cache = false;
     sc_tick_s = 1.0;
     sc_window_slots = 60;
     sc_max_queue = 256;
@@ -103,7 +93,7 @@ let compute_verbs = [ "compile"; "profile"; "dump"; "run"; "select"; "cosim" ]
 
 let control_verbs =
   [ "health"; "stats"; "cache-stats"; "cache-reset"; "telemetry"; "log-tail";
-    "watch"; "shutdown" ]
+    "shutdown" ]
 
 let known_verbs = compute_verbs @ control_verbs
 let is_control v = List.mem v control_verbs
@@ -457,7 +447,6 @@ let telemetry_text window =
 type control_action =
   | C_continue
   | C_shutdown
-  | C_watch  (* keep pushing telemetry frames to this request's id *)
 
 let control_reply ~served ~window (r : Protocol.request) :
     Protocol.reply * control_action =
@@ -503,10 +492,6 @@ let control_reply ~served ~window (r : Protocol.request) :
     let n = Option.value r.Protocol.rq_n ~default:20 in
     ( Protocol.ok_reply ~id (Obs.Json.to_string (Obs.Log.to_json ~tail:n ())),
       C_continue )
-  | "watch" ->
-    (* first frame now, then one per window tick until the connection
-       goes away — the server-pushed path behind `cayman top --follow` *)
-    Protocol.ok_reply ~id (telemetry_text window), C_watch
   | v ->
     Obs.Metrics.incr m_errors;
     ( Protocol.error_reply ~id ~cls:"bad-request" (unknown_verb_message v),
@@ -532,12 +517,6 @@ let serve_conns ~(config : config) ?listen conns0 =
        Sys.set_signal Sys.sigterm
          (Sys.Signal_handle (fun _ -> Atomic.set sigterm true))
      with Invalid_argument _ -> ());
-  if config.sc_jobs > 0 then Engine.Config.set_jobs config.sc_jobs;
-  if config.sc_fuel > 0 then Engine.Config.set_fuel config.sc_fuel;
-  (match config.sc_interp with
-   | Some e -> Sim.Interp.set_engine e
-   | None -> ());
-  if config.sc_cache then Memo.Store.enable ?dir:config.sc_cache_dir ();
   let pool = Engine.Pool.create ?jobs:None () in
   let conns = ref conns0 in
   List.iter conn_set_nonblock conns0;
@@ -575,7 +554,6 @@ let serve_conns ~(config : config) ?listen conns0 =
   (* seal the tracked set and baseline against pre-existing totals *)
   Obs.Window.tick window ~dt_s:0.0;
   let last_tick = ref (now ()) in
-  let watchers : (conn * int) list ref = ref [] in
   let pending_q : pending Queue.t = Queue.create () in
   Fun.protect
     ~finally:(fun () ->
@@ -670,9 +648,7 @@ let serve_conns ~(config : config) ?listen conns0 =
                       ~fuel:0 ~wall_us:wall ~cache:"-";
                     (match action with
                      | C_continue -> ()
-                     | C_shutdown -> start_drain ()
-                     | C_watch ->
-                       watchers := (c, r.Protocol.rq_id) :: !watchers)
+                     | C_shutdown -> start_drain ())
                   | Ok r ->
                     let queued = Queue.length pending_q in
                     if queued >= config.sc_max_queue then begin
@@ -767,23 +743,12 @@ let serve_conns ~(config : config) ?listen conns0 =
           Obs.Metrics.gauge_set g_inflight 0;
           Obs.Metrics.gauge_set g_queue (Queue.length pending_q)
         end;
-        (* Window tick: close the elapsed slot and push a fresh telemetry
-           frame to every live watcher. Watching costs one render per
-           tick shared across watchers, not per watcher. *)
+        (* Window tick: close the elapsed slot. *)
         if config.sc_tick_s > 0.0 then begin
           let t = now () in
           if t -. !last_tick >= config.sc_tick_s then begin
             Obs.Window.tick window ~dt_s:(t -. !last_tick);
-            last_tick := t;
-            watchers := List.filter (fun (c, _) -> c.c_alive) !watchers;
-            if (not draining) && !watchers <> [] then begin
-              let text = telemetry_text window in
-              List.iter
-                (fun (c, id) ->
-                  write_reply ~config c (Protocol.ok_reply ~id text))
-                !watchers;
-              watchers := List.filter (fun (c, _) -> c.c_alive) !watchers
-            end
+            last_tick := t
           end
         end
       end

@@ -12,10 +12,16 @@
     Verbs: [compile], [profile], [dump], [run]/[select], [cosim]
     (batched compute) plus the inline control verbs [health], [stats],
     [cache-stats], [cache-reset], [telemetry] (Prometheus-style
-    exposition of the metrics snapshot and rolling-window aggregates),
-    [log-tail] (last [n] audit records as JSON), [watch] (a telemetry
-    frame now and then one per window tick until the connection closes)
-    and [shutdown].
+    exposition of the metrics snapshot and rolling-window aggregates,
+    polled by [cayman top]), [log-tail] (last [n] audit records as
+    JSON) and [shutdown].
+
+    Process-wide settings are the caller's: the daemon runs under the
+    worker count (resolved once, for its pool), fuel budget,
+    interpreter engine and memoization store the process has installed
+    ({!Engine.Config}, {!Memo.Store}). [cayman serve] installs them
+    from its flags and pins the staged engine unless [--interp] is
+    given.
 
     Overload hardening (DESIGN.md section 14): replies go through
     bounded per-connection write buffers drained from the select loop
@@ -41,15 +47,8 @@
 
 type config = {
   sc_max_frame : int;  (** per-connection declared-length cap *)
-  sc_jobs : int;  (** [> 0] pins the pool width, else {!Engine.Config} *)
-  sc_fuel : int;  (** [> 0] pins the default fuel, else {!Engine.Config} *)
-  sc_interp : Cayman_sim.Interp.engine option;
-      (** pinned process-wide at startup when present *)
-  sc_cache_dir : string option;
-  sc_cache : bool;  (** arm the on-disk store at startup *)
   sc_tick_s : float;
-      (** telemetry window tick period; [<= 0] disables ticking (and
-          [watch] frames) *)
+      (** telemetry window tick period; [<= 0] disables ticking *)
   sc_window_slots : int;  (** rolling-window depth, in ticks *)
   sc_max_queue : int;
       (** pending compute requests admitted before shedding *)
@@ -70,8 +69,7 @@ type config = {
           with other work, as tests and benches do) *)
 }
 
-(** No overrides: engine/fuel/jobs resolve ambiently, cache off,
-    1-second ticks over a 60-slot window, queue cap 256, batch cap 64,
+(** 1-second ticks over a 60-slot window, queue cap 256, batch cap 64,
     32 MiB write-buffer cap, 5 s drain timeout, 200k fuel/ms, SIGTERM
     not handled. *)
 val default_config : config

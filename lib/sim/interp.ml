@@ -59,31 +59,15 @@ let engine_name = function
   | Reference -> "reference"
   | Staged -> "staged"
 
-(* Process-wide override, above the environment and below an explicit
-   [?engine] argument. Atomic for the same reason as Engine.Config's
-   job override: tests flip it around parallel pipeline runs. *)
-let override : engine option Atomic.t = Atomic.make None
+(* Override > CAYMAN_INTERP > staged, below an explicit [?engine]. *)
+let setting =
+  Engine.Config.setting ~env:engine_env_var ~parse:engine_of_string
+    (fun () -> default_engine)
 
-let set_engine e = Atomic.set override (Some e)
-let clear_engine () = Atomic.set override None
-
-let env_engine () =
-  match Sys.getenv_opt engine_env_var with
-  | None -> None
-  | Some s -> engine_of_string s
-
-let current_engine () =
-  match Atomic.get override with
-  | Some e -> e
-  | None ->
-    (match env_engine () with
-     | Some e -> e
-     | None -> default_engine)
-
-let with_engine e f =
-  let saved = Atomic.get override in
-  Atomic.set override (Some e);
-  Fun.protect ~finally:(fun () -> Atomic.set override saved) f
+let set_engine e = Engine.Config.set setting e
+let clear_engine () = Engine.Config.clear setting
+let current_engine () = Engine.Config.get setting
+let with_engine e f = Engine.Config.with_set setting e f
 
 let run ?engine ?fuel ?cache_config ?observer p =
   let e =

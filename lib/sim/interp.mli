@@ -47,7 +47,8 @@ type observer = {
     Resolution order: explicit [?engine] argument to {!run}, then the
     process-wide override ({!set_engine} / {!with_engine}), then the
     [CAYMAN_INTERP] environment variable ("reference" or "staged"),
-    then the built-in default (staged). *)
+    then the built-in default (staged) — the one resolution path of
+    every [Engine.Config] setting. *)
 
 type engine =
   | Reference  (** original tree-walking interpreter, semantic ground truth *)

@@ -173,7 +173,34 @@ let test_config_resolution () =
   Alcotest.(check bool) "empty env falls through" true
     (Engine.Config.jobs () >= 1);
   (* leave the environment as we found it for later suites *)
-  Unix.putenv Engine.Config.env_var (Option.value saved ~default:"")
+  Unix.putenv Engine.Config.env_var (Option.value saved ~default:"");
+  (* the same resolution path serves CAYMAN_FUEL and CAYMAN_CACHE_MAX_MB:
+     a positive value is taken, anything else falls through to the
+     default, and an override beats the variable *)
+  let check_env ~var ~resolve ~default ~set ~clear =
+    let saved = Sys.getenv_opt var in
+    clear ();
+    List.iter
+      (fun (value, expect) ->
+        Unix.putenv var value;
+        Alcotest.(check int) (Printf.sprintf "%s=%S" var value) expect
+          (resolve ()))
+      [ "7", 7; "not-a-number", default; "0", default; "", default ];
+    Unix.putenv var "7";
+    set 3;
+    Alcotest.(check int) (var ^ ": override beats env") 3 (resolve ());
+    clear ();
+    Unix.putenv var (Option.value saved ~default:"")
+  in
+  check_env ~var:Engine.Config.fuel_env_var
+    ~resolve:(fun () -> Engine.Config.fuel ())
+    ~default:Engine.Config.default_fuel ~set:Engine.Config.set_fuel
+    ~clear:Engine.Config.clear_fuel;
+  check_env ~var:"CAYMAN_CACHE_MAX_MB"
+    ~resolve:(fun () -> Memo.Store.default_max_bytes () / (1024 * 1024))
+    ~default:2048
+    ~set:(Engine.Config.set Memo.Store.max_mb)
+    ~clear:(fun () -> Engine.Config.clear Memo.Store.max_mb)
 
 let test_clock_wall () =
   let (), dt = Engine.Clock.timed (fun () -> ignore (slow_square 1 0)) in

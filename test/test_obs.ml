@@ -399,7 +399,20 @@ let test_log_ring_bounds () =
    | _ -> Alcotest.fail "tail 1 must return one event");
   Obs.Log.reset ();
   check "reset clears events" true (Obs.Log.events () = []);
-  Alcotest.(check int) "reset clears drop count" 0 (Obs.Log.dropped ())
+  Alcotest.(check int) "reset clears drop count" 0 (Obs.Log.dropped ());
+  (* the span ring shares the scheme at its own capacity, 2^14 *)
+  Obs.Trace.reset ();
+  Obs.Trace.set_enabled true;
+  for _ = 1 to (1 lsl 14) + 100 do
+    Obs.Trace.span "flood" ignore
+  done;
+  Obs.Trace.set_enabled false;
+  Alcotest.(check int) "span overwrites counted" 100 (Obs.Trace.dropped ());
+  Alcotest.(check int) "span ring keeps capacity" (1 lsl 14)
+    (List.length (Obs.Trace.spans ()));
+  Obs.Trace.reset ();
+  check "reset clears spans" true (Obs.Trace.spans () = []);
+  Alcotest.(check int) "reset clears span drop count" 0 (Obs.Trace.dropped ())
 
 let test_log_json () =
   Obs.Log.reset ();

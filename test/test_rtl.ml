@@ -110,6 +110,22 @@ let test_lint_catches_damage () =
        Alcotest.(check bool) "double-driven wire is reported" true
          (Rtl.Lint.check doubled <> []))
 
+(* The primitive table once came from a [lazy] that raised
+   [CamlinternalLazy.Undefined] when several domains forced it at once.
+   First use happens once per process, so the race is probed in fresh
+   processes: lint_race.exe lints from four domains released together
+   and exits nonzero if any of them raised. *)
+let test_lint_first_use_race () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "lint_race.exe"
+  in
+  let failed = ref 0 in
+  for _ = 1 to 50 do
+    if Sys.command (Filename.quote exe ^ " 2>/dev/null") <> 0 then
+      incr failed
+  done;
+  Alcotest.(check int) "runs that failed" 0 !failed
+
 (* --- co-simulation --- *)
 
 let test_cosim_three_modes () =
@@ -228,6 +244,8 @@ let tests =
   [ Alcotest.test_case "lint: suite netlists are clean" `Slow test_lint_clean;
     Alcotest.test_case "lint: damaged netlist is flagged" `Quick
       test_lint_catches_damage;
+    Alcotest.test_case "lint: first use from several domains" `Quick
+      test_lint_first_use_race;
     Alcotest.test_case "cosim: atax agrees in all three modes" `Slow
       test_cosim_three_modes;
     Alcotest.test_case "cosim: uniform-trip kernel cycles are exact" `Quick

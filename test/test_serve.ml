@@ -362,24 +362,6 @@ let test_log_tail_verb () =
           | Some ("hit" | "miss") -> true
           | _ -> false))
 
-let test_watch_stream () =
-  let config =
-    { Serve.Server.default_config with Serve.Server.sc_tick_s = 0.02 }
-  in
-  with_fd_server ~config @@ fun cl ->
-  let id, first = Serve.Client.watch cl in
-  let (_ : Obs.Expose.t) = parse_exposition first in
-  (* the daemon now pushes a frame per window tick under the same id *)
-  for _ = 1 to 2 do
-    let frame = Serve.Client.watch_next cl ~id in
-    check_int "pushed frame keeps the stream id" id frame.Serve.Protocol.rp_id;
-    let (_ : Obs.Expose.t) = parse_exposition frame in
-    ()
-  done;
-  (* the connection still serves ordinary requests mid-stream *)
-  let r = Serve.Client.rpc cl "health" in
-  check "health mid-stream" "ok\n" r.Serve.Protocol.rp_output
-
 (* The unknown-verb reply names every verb the dispatch actually knows,
    and stays in sync with it: the advertised list parses back to exactly
    [Serve.Server.known_verbs], and no advertised verb is itself answered
@@ -786,7 +768,6 @@ let tests =
       test_stats_and_cache_verbs;
     Alcotest.test_case "telemetry verb" `Quick test_telemetry_verb;
     Alcotest.test_case "log-tail audit records" `Quick test_log_tail_verb;
-    Alcotest.test_case "watch pushes frames" `Quick test_watch_stream;
     Alcotest.test_case "unknown verb lists known verbs" `Quick
       test_unknown_verb_lists_known;
     Alcotest.test_case "stats reports dropped spans" `Quick
