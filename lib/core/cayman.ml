@@ -31,7 +31,7 @@ let profile_of ~fuel program =
     (Sim.Interp.run ~fuel program).Sim.Interp.profile
   else begin
     let b = Memo.Hash.builder ~ns:"profile" in
-    Memo.Hash.str b (Digest.to_hex (Digest.string (Ir.Program.to_string program)));
+    Memo.Hash.str b (Memo.Hash.program_digest program);
     Memo.Hash.int b fuel;
     let key = Memo.Hash.digest b in
     match Memo.Store.find ~ns:"profile" ~key with

@@ -1,3 +1,4 @@
+module Ir = Cayman_ir
 module Hls = Cayman_hls
 module An = Cayman_analysis
 module Sim = Cayman_sim
@@ -74,11 +75,9 @@ let fp_select = Obs.Faultpoint.register "select"
    3. the sequential DP itself, now just combining and filtering the
       precomputed candidate lists — identical to the single-threaded
       formulation solution-for-solution. *)
-let select ?(params = default_params) ?jobs ?memo_key ~(gen : accel_gen)
+let compute ~params ?jobs ~(gen : accel_gen)
     (ctxs : (string, Hls.Ctx.t) Hashtbl.t) (wpst : An.Wpst.t)
     (profile : Sim.Profile.t) : Solution.t list * stats =
-  Obs.Trace.span ~cat:"select" "select" @@ fun () ->
-  Obs.Faultpoint.hit fp_select;
   let alpha = params.alpha in
   let total_cycles = float_of_int (Sim.Profile.total_cycles profile) in
   let prune_cycles = params.prune_threshold *. total_cycles in
@@ -138,25 +137,12 @@ let select ?(params = default_params) ?jobs ?memo_key ~(gen : accel_gen)
   in
   let points = ref 0 in
   let failures = ref [] in
-  (* With a [memo_key] and an active store, each task routes through the
-     compute-once memoizer under an alpha-equivalent key: structurally
-     identical regions (within this run or from an earlier one) evaluate
-     [gen] once. The key is derived inside the task — it only reads the
-     immutable context, so the fan-out stays embarrassingly parallel. *)
-  let gen_task =
-    match memo_key with
-    | Some mk when Memo.Store.active () ->
-      fun (ctx, r) ->
-        let key = Hls.Fingerprint.points_key ctx r ~gen:mk in
-        Memo.Store.memoize ~ns:"points" ~key (fun () -> gen ctx r)
-    | Some _ | None -> fun (ctx, r) -> gen ctx r
-  in
   let gen_results =
     Obs.Trace.span ~cat:"select" "select.gen" (fun () ->
         Engine.Pool.map_result ?jobs
-          (fun task ->
+          (fun (ctx, r) ->
             Obs.Trace.span ~cat:"select" "select.gen-region" (fun () ->
-                gen_task task))
+                gen ctx r))
           tasks)
   in
   List.iter2
@@ -223,3 +209,91 @@ let select ?(params = default_params) ?jobs ?memo_key ~(gen : accel_gen)
   frontier,
   { visited = !visited; pruned = !pruned; points_evaluated = !points;
     failures }
+
+(* The memo key of one whole selection: everything [compute] reads. The
+   program digest stands for every [Ctx] field [Ctx.create] derives from
+   the program; the wPST shape, the ctx names and the profile counts are
+   fed structurally (no pretty-printing), so keying stays cheap in time
+   and allocation next to the selection it saves. *)
+let memo_key_of ~memo_key ~params ctxs (wpst : An.Wpst.t) profile =
+  let module H = Memo.Hash in
+  let b = H.builder ~ns:"select" in
+  H.str b Hls.Fingerprint.tech;
+  H.str b memo_key;
+  H.float b params.alpha;
+  H.float b params.prune_threshold;
+  let program = wpst.An.Wpst.program in
+  H.str b (H.program_digest program);
+  H.int b (List.length wpst.An.Wpst.funcs);
+  List.iter
+    (fun (ft : An.Wpst.func_tree) ->
+      H.str b ft.An.Wpst.fname;
+      An.Region.iter
+        (fun (r : An.Region.t) ->
+          H.int b r.An.Region.id;
+          H.str b (An.Region.kind_to_string r.An.Region.kind);
+          H.str b r.An.Region.entry;
+          H.int b (An.Region.String_set.cardinal r.An.Region.blocks);
+          An.Region.String_set.iter (H.str b) r.An.Region.blocks;
+          H.int b (List.length r.An.Region.children))
+        ft.An.Wpst.root)
+    wpst.An.Wpst.funcs;
+  let names =
+    List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) ctxs [])
+  in
+  H.int b (List.length names);
+  List.iter (H.str b) names;
+  H.int b (Sim.Profile.total_cycles profile);
+  H.int b (Sim.Profile.total_instrs profile);
+  List.iter
+    (fun (f : Ir.Func.t) ->
+      let func = f.Ir.Func.name in
+      H.int b (Sim.Profile.func_calls profile func);
+      List.iter
+        (fun (blk : Ir.Block.t) ->
+          let label = blk.Ir.Block.label in
+          H.int b (Sim.Profile.block_exec profile ~func ~label);
+          List.iter
+            (fun dst ->
+              H.int b (Sim.Profile.edge_exec profile ~func ~src:label ~dst))
+            (Ir.Block.succs blk))
+        f.Ir.Func.blocks)
+    program.Ir.Program.funcs;
+  H.digest b
+
+(* The key covers [wpst.program] and [profile] only, so it is sound only
+   for contexts [Ctx.create] built from exactly those. *)
+let ctxs_of_inputs ctxs (wpst : An.Wpst.t) profile =
+  let program = wpst.An.Wpst.program in
+  Hashtbl.fold
+    (fun name (ctx : Hls.Ctx.t) ok ->
+      ok
+      && ctx.Hls.Ctx.program == program
+      && ctx.Hls.Ctx.profile == profile
+      &&
+      match Ir.Program.find_func program name with
+      | Some f -> f == ctx.Hls.Ctx.func
+      | None -> false)
+    ctxs true
+
+(* A selection with generation failures is returned, never stored. *)
+exception Uncacheable of (Solution.t list * stats)
+
+(* One store entry per call: a warm hit skips the walk, every [gen] call
+   and the DP. The faultpoint fires first, so an armed [select] fault
+   trips on a warm hit too. *)
+let select ?(params = default_params) ?jobs ?memo_key ~gen ctxs wpst profile =
+  Obs.Trace.span ~cat:"select" "select" @@ fun () ->
+  Obs.Faultpoint.hit fp_select;
+  let run () = compute ~params ?jobs ~gen ctxs wpst profile in
+  match memo_key with
+  | Some memo_key when Memo.Store.active () && ctxs_of_inputs ctxs wpst profile
+    ->
+    let key = memo_key_of ~memo_key ~params ctxs wpst profile in
+    (try
+       Memo.Store.memoize ~ns:"select" ~key (fun () ->
+           let ((_, stats) as r) = run () in
+           if stats.failures <> [] then raise (Uncacheable r);
+           r)
+     with Uncacheable r -> r)
+  | Some _ | None -> run ()

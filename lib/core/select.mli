@@ -53,16 +53,19 @@ val failure_reason : exn -> string
     [stats.failures], its subtree still combines children normally, and
     every other region's candidates are unaffected.
 
-    [memo_key] opts the per-region generation into the ambient
-    {!Memo.Store}: it must identify [gen] and everything it closes over
-    (mode, beta, config list — see {!Cayman.gen_key}), and is combined
-    with [Fingerprint.points_key]'s alpha-equivalent region facts, so
-    structurally identical regions — across benchmarks and across runs —
-    generate once. Cached candidate lists are bit-identical to
-    recomputed ones (the codec round-trips floats exactly), so the
-    frontier and stats are unchanged by caching; when the store is
-    disabled (the default) [memo_key] has no effect. Failures are never
-    cached. *)
+    [memo_key] opts the whole call into the ambient {!Memo.Store}: one
+    entry in the [select] namespace holds the returned frontier and
+    stats. [memo_key] must identify [gen] and everything it closes over
+    (mode, beta, config list — see {!Cayman.gen_key}); the entry's key
+    adds the technology table, [params], a digest of [wpst.program], the
+    wPST shape, the [ctxs] names and every profile count. A hit returns
+    the stored pair bit-for-bit (the codec round-trips floats exactly)
+    without walking the wPST, calling [gen] or running the DP, so the
+    [select.*] counters then stay untouched. The store is bypassed when
+    it is disabled (the default), when some context was not built from
+    [wpst.program] and [profile] themselves (its derived analyses would
+    not be covered by the key), and a result with [stats.failures] is
+    never stored. The [select] faultpoint fires before the lookup. *)
 val select :
   ?params:params ->
   ?jobs:int ->

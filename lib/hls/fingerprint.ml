@@ -32,12 +32,9 @@ let tech =
       Tech.config_reg_area; Tech.cva6_tile_area ];
   Hash.digest b
 
-(* Every profile/analysis fact the kernel model reads for [region], fed
-   in a deterministic order. [rename] selects canonical vs original
-   names; everything else is identical between the two key flavours. *)
-let facts b (canon : Hash.canon) (ctx : Ctx.t) (region : An.Region.t) ~rename =
-  let lbl l = if rename then canon.Hash.canon_of_label l else l in
-  let rg r = if rename then canon.Hash.canon_of_reg r else r in
+(* Every profile/analysis fact the netlist backend reads for [region],
+   fed in a deterministic order under the region's original names. *)
+let facts b (canon : Hash.canon) (ctx : Ctx.t) (region : An.Region.t) =
   let func = ctx.Ctx.func in
   let profile = ctx.Ctx.profile in
   (* profile: region aggregate + per-block, in canonical block order *)
@@ -45,7 +42,7 @@ let facts b (canon : Hash.canon) (ctx : Ctx.t) (region : An.Region.t) ~rename =
   Hash.int b (Sim.Profile.region_entries func profile region);
   List.iter
     (fun l ->
-      Hash.str b (lbl l);
+      Hash.str b l;
       Hash.int b (Ctx.block_exec ctx l);
       Hash.int b (Sim.Profile.block_cycles func profile ~label:l))
     canon.Hash.block_order;
@@ -69,12 +66,12 @@ let facts b (canon : Hash.canon) (ctx : Ctx.t) (region : An.Region.t) ~rename =
   Hash.int b (List.length loops);
   List.iter
     (fun (l : An.Loops.loop) ->
-      Hash.str b (lbl l.An.Loops.header);
-      List.iter (fun x -> Hash.str b (lbl x)) l.An.Loops.latches;
+      Hash.str b l.An.Loops.header;
+      List.iter (Hash.str b) l.An.Loops.latches;
       List.iter
         (fun (f, t) ->
-          Hash.str b (lbl f);
-          Hash.str b (lbl t))
+          Hash.str b f;
+          Hash.str b t)
         l.An.Loops.exits;
       Hash.int b (Ctx.trip ctx l.An.Loops.header);
       Hash.int b (Ctx.loop_entries ctx l);
@@ -84,12 +81,12 @@ let facts b (canon : Hash.canon) (ctx : Ctx.t) (region : An.Region.t) ~rename =
       | Some info ->
         Hash.bool b true;
         Hash.bool b (An.Memdep.has_carried_dep info);
-        List.iter (fun r -> Hash.str b (rg r)) info.An.Memdep.recurrences;
+        List.iter (Hash.str b) info.An.Memdep.recurrences;
         Hash.int b (List.length info.An.Memdep.carried);
         List.iter
           (fun (d : An.Memdep.carried_dep) ->
             let access (a : An.Memdep.access) =
-              Hash.str b (lbl a.An.Memdep.a_block);
+              Hash.str b a.An.Memdep.a_block;
               Hash.int b a.An.Memdep.a_pos;
               Hash.str b a.An.Memdep.a_base;
               Hash.bool b a.An.Memdep.a_is_store
@@ -116,7 +113,7 @@ let facts b (canon : Hash.canon) (ctx : Ctx.t) (region : An.Region.t) ~rename =
       let dfg = Ctx.dfg ctx label in
       List.iter
         (fun i ->
-          Hash.str b (lbl label);
+          Hash.str b label;
           Hash.int b i;
           (match Ir.Instr.mem_ref_of dfg.Dfg.instrs.(i) with
            | Some m -> Hash.str b m.Ir.Instr.base
@@ -134,25 +131,16 @@ let facts b (canon : Hash.canon) (ctx : Ctx.t) (region : An.Region.t) ~rename =
             Hash.int b a.An.Scev.const;
             List.iter
               (fun (h, c) ->
-                Hash.str b (lbl h);
+                Hash.str b h;
                 Hash.int b c)
               a.An.Scev.ivs;
             List.iter
               (fun (s, c) ->
-                Hash.str b (rg s);
+                Hash.str b s;
                 Hash.int b c)
               a.An.Scev.syms)
         (Dfg.mem_nodes dfg))
     canon.Hash.block_order
-
-let points_key (ctx : Ctx.t) (region : An.Region.t) ~gen =
-  let b = Hash.builder ~ns:"points" in
-  Hash.str b tech;
-  Hash.str b gen;
-  let canon = Hash.canon_region ctx.Ctx.func region in
-  Hash.str b canon.Hash.canon_code;
-  facts b canon ctx region ~rename:true;
-  Hash.digest b
 
 let netlist_key (ctx : Ctx.t) (region : An.Region.t) ~beta ~config =
   let b = Hash.builder ~ns:"netlist" in
@@ -161,5 +149,5 @@ let netlist_key (ctx : Ctx.t) (region : An.Region.t) ~beta ~config =
   Hash.float b beta;
   let canon = Hash.canon_region ctx.Ctx.func region in
   Hash.str b canon.Hash.exact_code;
-  facts b canon ctx region ~rename:false;
+  facts b canon ctx region;
   Hash.digest b

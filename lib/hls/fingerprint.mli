@@ -1,9 +1,9 @@
 (** Cache-key derivation for the memoization store ({!Memo.Store}).
 
     A cache key must determine the computation's result: it is built by
-    {e fact enumeration} — every input the estimator/netlist backend
-    reads is fed to a {!Memo.Hash} builder. Concretely that is the
-    region's code (canonical or exact, see below), the profile facts
+    {e fact enumeration} — every input the netlist backend reads is fed
+    to a {!Memo.Hash} builder. Concretely that is the region's code
+    listing, the profile facts
     (region cycles/entries, per-block execution counts and cycles,
     per-loop trip counts and entries), the memory-dependence facts
     (recurrences, loop-carried dependencies), the scalar-evolution facts
@@ -12,22 +12,14 @@
     table ({!tech}), and the generator configuration. The library
     version salt rides in via {!Memo.Hash.builder}.
 
-    [points_key] uses the {e alpha-renamed} region listing: a
-    {!Kernel.point} carries no register or label names, so structurally
-    identical regions — including across different benchmarks in one
-    run — share one entry. [netlist_key] uses the {e exact} listing:
-    netlists embed real names (module name, FSM states, architectural
-    registers), so those keys are rename-sensitive by design. *)
+    [netlist_key] uses the {e exact} region listing: netlists embed real
+    names (module name, FSM states, architectural registers), so its
+    keys are rename-sensitive by design. *)
 
 (** Digest of the full {!Tech} characterization table: any change to a
-    delay/area/latency constant invalidates every key derived here. *)
+    delay/area/latency constant invalidates every key that includes it
+    (the netlist keys here and [Core.Select]'s selection keys). *)
 val tech : string
-
-(** Key for a region's kernel design-point list ([Kernel.estimate_all]
-    and friends). [gen] identifies the generator and its knobs (mode,
-    beta, config list) — include everything the generator closes
-    over. *)
-val points_key : Ctx.t -> Cayman_analysis.Region.t -> gen:string -> string
 
 (** Key for [Netlist.of_kernel ctx region ?beta config]. *)
 val netlist_key :

@@ -233,3 +233,19 @@ let canon_region (func : Ir.Func.t) (region : An.Region.t) =
         match Hashtbl.find_opt regs r with
         | Some c -> c
         | None -> "?" ^ r) }
+
+(* Listing a whole program is the dearest part of the keys that include
+   it, and one evaluation keys the same program several times in a row
+   (its profile, then one selection per method): each domain remembers
+   the digest of the last program it listed. Programs are immutable, so
+   physical equality identifies the listing. *)
+let last_program : (Ir.Program.t * string) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let program_digest program =
+  match Domain.DLS.get last_program with
+  | Some (p, d) when p == program -> d
+  | Some _ | None ->
+    let d = Digest.to_hex (Digest.string (Ir.Program.to_string program)) in
+    Domain.DLS.set last_program (Some (program, d));
+    d

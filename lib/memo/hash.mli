@@ -76,6 +76,13 @@ type canon = {
     in sorted label order. *)
 val canon_region : Cayman_ir.Func.t -> Cayman_analysis.Region.t -> canon
 
+(** {1 Program digests} *)
+
+(** Hex MD5 of [Cayman_ir.Program.to_string program] (unsalted: callers
+    feed it to a builder). Each domain remembers its last program, so
+    keying one program repeatedly lists it once. *)
+val program_digest : Cayman_ir.Program.t -> string
+
 (** {1 Canon digests, collision-guarded}
 
     Fleet-scale clustering compares kernels by the digest of their

@@ -32,8 +32,9 @@
     table, so each unique key is looked up on disk exactly once per
     process and concurrent requesters of the same key block for the one
     computation (counted as [memo.run_shared]) instead of racing it.
-    This is also what gives in-run cross-benchmark sharing: structurally
-    identical regions in different benchmarks synthesize once. *)
+    Selection is memoized per call ([select]), not per region,
+    because deriving a per-region key cost more than the candidate
+    generation it saved. *)
 
 type t
 

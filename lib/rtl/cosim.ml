@@ -388,9 +388,7 @@ let run_many ?fuel ?(tolerance = default_tolerance) ?max_invocations
         specs
     else begin
       let fuel = Engine.Config.fuel ?fuel () in
-      let program_digest =
-        Digest.to_hex (Digest.string (Ir.Program.to_string program))
-      in
+      let program_digest = Memo.Hash.program_digest program in
       let keys =
         List.map
           (spec_key ~program_digest ~fuel ~tolerance ~max_invocations

@@ -388,6 +388,129 @@ let test_select_cached_equals_uncached () =
   Alcotest.(check bool) "frontier nonempty" true
     (base.Core.Cayman.frontier <> [])
 
+(* Selection is memoized once per call: a cold run writes exactly one
+   entry, and the warm run reads it back without writing. *)
+let test_select_one_entry () =
+  let a = Core.Cayman.analyze_source flow_src in
+  with_store @@ fun _dir ->
+  let puts0 = counter "memo.puts" in
+  let _ = Core.Cayman.run ~mode:Hls.Kernel.Heuristic a in
+  Alcotest.(check int) "cold run: one put" 1 (counter "memo.puts" - puts0);
+  Memo.Store.reset_memory ();
+  let hits0 = counter "memo.disk_hits" and puts1 = counter "memo.puts" in
+  let _ = Core.Cayman.run ~mode:Hls.Kernel.Heuristic a in
+  Alcotest.(check int) "warm run: one disk hit" 1
+    (counter "memo.disk_hits" - hits0);
+  Alcotest.(check int) "warm run: no puts" 0 (counter "memo.puts" - puts1)
+
+(* A different filter ratio, or a source that differs in one loop-bound
+   constant, must miss. *)
+let test_select_key_sensitivity () =
+  let variant =
+    let needle = "t < 3" in
+    let n = String.length needle in
+    let rec at i = if String.sub flow_src i n = needle then i else at (i + 1) in
+    let i = at 0 in
+    String.sub flow_src 0 i ^ "t < 4"
+    ^ String.sub flow_src (i + n) (String.length flow_src - i - n)
+  in
+  let a = Core.Cayman.analyze_source flow_src in
+  let a' = Core.Cayman.analyze_source variant in
+  with_store @@ fun _dir ->
+  let _ = Core.Cayman.run ~mode:Hls.Kernel.Heuristic a in
+  let misses () = counter "memo.disk_misses" in
+  let m0 = misses () in
+  let params = { Core.Select.default_params with Core.Select.alpha = 1.1 } in
+  let _ = Core.Cayman.run ~params ~mode:Hls.Kernel.Heuristic a in
+  Alcotest.(check int) "different alpha misses" 1 (misses () - m0);
+  let m1 = misses () in
+  let _ = Core.Cayman.run ~mode:Hls.Kernel.Heuristic a' in
+  Alcotest.(check int) "different loop bound misses" 1 (misses () - m1)
+
+(* A generator that raises on one region: the degraded result is
+   returned but never stored, so a rerun reports the failure again. *)
+let test_select_failures_not_cached () =
+  let a = Core.Cayman.analyze_source flow_src in
+  let target =
+    let found = ref None in
+    An.Wpst.iter
+      (fun fname (r : An.Region.t) ->
+        if !found = None && fname = "kernel"
+           && r.An.Region.kind = An.Region.Loop_region
+        then found := Some r.An.Region.id)
+      a.Core.Cayman.wpst;
+    Option.get !found
+  in
+  let full = Core.Cayman.gen Hls.Kernel.Heuristic in
+  let raised = Atomic.make 0 in
+  let gen (ctx : Hls.Ctx.t) (r : An.Region.t) =
+    if ctx.Hls.Ctx.func.Ir.Func.name = "kernel" && r.An.Region.id = target
+    then begin
+      Atomic.incr raised;
+      failwith "boom"
+    end
+    else full ctx r
+  in
+  with_store @@ fun _dir ->
+  let select () =
+    snd
+      (Core.Select.select ~memo_key:"test.raises-once" ~gen a.Core.Cayman.ctxs
+         a.Core.Cayman.wpst a.Core.Cayman.profile)
+  in
+  let puts0 = counter "memo.puts" in
+  let s1 = select () in
+  Alcotest.(check int) "one failure" 1 (List.length s1.Core.Select.failures);
+  Memo.Store.reset_memory ();
+  let s2 = select () in
+  Alcotest.(check int) "rerun reports it again" 1
+    (List.length s2.Core.Select.failures);
+  Alcotest.(check int) "rerun called gen again" 2 (Atomic.get raised);
+  Alcotest.(check int) "nothing stored" 0 (counter "memo.puts" - puts0)
+
+(* Contexts built over another program than [wpst.program] are outside
+   the key: the store is bypassed rather than risking a false hit. *)
+let test_select_foreign_ctxs_bypass () =
+  let a = Core.Cayman.analyze_source flow_src in
+  let other = Core.Cayman.analyze_source flow_src in
+  let ctxs =
+    Hls.Ctx.for_program other.Core.Cayman.program a.Core.Cayman.profile
+  in
+  let gen = Core.Cayman.gen Hls.Kernel.Heuristic in
+  let base, _ =
+    Core.Select.select ~gen ctxs a.Core.Cayman.wpst a.Core.Cayman.profile
+  in
+  with_store @@ fun _dir ->
+  let puts0 = counter "memo.puts" and misses0 = counter "memo.disk_misses" in
+  let frontier, _ =
+    Core.Select.select ~memo_key:"test.foreign" ~gen ctxs a.Core.Cayman.wpst
+      a.Core.Cayman.profile
+  in
+  Alcotest.(check int) "no puts" 0 (counter "memo.puts" - puts0);
+  Alcotest.(check int) "no lookups" 0 (counter "memo.disk_misses" - misses0);
+  Alcotest.(check bool) "same frontier" true
+    (Core.Solution.equal_frontier frontier base)
+
+(* The [select] faultpoint fires before the store lookup, so an armed
+   fault is not masked by a warm hit. *)
+let test_select_fault_on_warm_hit () =
+  let a = Core.Cayman.analyze_source flow_src in
+  with_store @@ fun _dir ->
+  let _ = Core.Cayman.run ~mode:Hls.Kernel.Heuristic a in
+  Memo.Store.reset_memory ();
+  let hits0 = counter "memo.disk_hits" in
+  (match
+     Obs.Faultpoint.with_armed "select" (fun () ->
+         Core.Cayman.run ~mode:Hls.Kernel.Heuristic a)
+   with
+   | _ -> Alcotest.fail "armed select fault did not fire on a warm hit"
+   | exception Obs.Faultpoint.Injected p ->
+     Alcotest.(check string) "injected at select" "select" p);
+  Alcotest.(check int) "no lookup after the fault" 0
+    (counter "memo.disk_hits" - hits0);
+  let _ = Core.Cayman.run ~mode:Hls.Kernel.Heuristic a in
+  Alcotest.(check int) "disarmed rerun hits" 1
+    (counter "memo.disk_hits" - hits0)
+
 (* Cosim specs of the 25%-budget heuristic solution, as the bench
    harness builds them. *)
 let cosim_specs (a : Core.Cayman.analyzed) (s : Core.Solution.t) =
@@ -462,6 +585,16 @@ let tests =
       test_open_store_refuses_nonempty;
     Alcotest.test_case "cached selection = uncached" `Slow
       test_select_cached_equals_uncached;
+    Alcotest.test_case "selection: one entry per call" `Quick
+      test_select_one_entry;
+    Alcotest.test_case "selection key: alpha and source" `Quick
+      test_select_key_sensitivity;
+    Alcotest.test_case "selection failures are not cached" `Quick
+      test_select_failures_not_cached;
+    Alcotest.test_case "foreign ctxs bypass the store" `Quick
+      test_select_foreign_ctxs_bypass;
+    Alcotest.test_case "select fault fires on a warm hit" `Quick
+      test_select_fault_on_warm_hit;
     Alcotest.test_case "cached cosim = uncached" `Slow
       test_cosim_cached_equals_uncached;
     Alcotest.test_case "Sim.Cache vs Memo naming" `Quick test_cache_naming ]
