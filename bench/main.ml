@@ -864,8 +864,11 @@ let faults ?(name = "faults")
    run-dependent by design. Each benchmark is interpreted end to end
    under both engines, CAYMAN_BENCH_REPS (default 5) timed reps per
    engine after one untimed warm-up whose profile Marshal digest
-   doubles as an inline parity check. Runs are serial regardless of
-   CAYMAN_JOBS so the reps do not contend with each other. With
+   doubles as an inline parity check. The program interpreted is the
+   if-converted one that Core.Cayman.analyze profiles, and the staged
+   reps also report minor-heap words allocated per executed
+   instruction. Runs are serial regardless of CAYMAN_JOBS so the reps
+   do not contend with each other. With
    --json BASE the result is written to BASE.json itself — the
    committed BENCH_<n>.json perf trajectory of ROADMAP item 5. *)
 
@@ -900,6 +903,7 @@ let profile () =
       Digest.to_hex
         (Digest.string (Marshal.to_string warm.Sim.Interp.profile []))
     in
+    let words0 = Gc.minor_words () in
     let runs =
       List.init reps (fun _ ->
           Sim.Interp.with_engine e (fun () ->
@@ -907,29 +911,36 @@ let profile () =
                 (Engine.Clock.timed (fun () ->
                      ignore (Sim.Interp.run program : Sim.Interp.result)))))
     in
-    warm, digest, runs
+    warm, digest, runs, Gc.minor_words () -. words0
   in
-  Printf.printf "%-26s %10s %18s %18s %8s %7s\n" "benchmark" "Minstrs"
-    "reference mean(s)" "staged mean(s)" "speedup" "parity";
+  Printf.printf "%-26s %10s %18s %18s %8s %7s %13s\n" "benchmark" "Minstrs"
+    "reference mean(s)" "staged mean(s)" "speedup" "parity"
+    "words/instr";
   let rows =
     List.map
       (fun name ->
         let b = Suite.find_exn name in
-        let program = Suite.compile b in
-        let warm, d_ref, runs_ref =
+        let program =
+          (Core.Cayman.analyze (Suite.compile b)).Core.Cayman.program
+        in
+        let warm, d_ref, runs_ref, _ =
           time_engine Sim.Interp.Reference program
         in
-        let _, d_stg, runs_stg = time_engine Sim.Interp.Staged program in
+        let _, d_stg, runs_stg, stg_words =
+          time_engine Sim.Interp.Staged program
+        in
         let instrs = Sim.Profile.total_instrs warm.Sim.Interp.profile in
         let mean_ref, var_ref, sd_ref = stats runs_ref in
         let mean_stg, var_stg, sd_stg = stats runs_stg in
         let speedup = mean_ref /. mean_stg in
         let parity = d_ref = d_stg in
-        Printf.printf "%-26s %10.2f %9.4f ± %.4f %9.4f ± %.4f %7.2fx %7s\n"
-          name
+        let words_stg = stg_words /. float_of_int (reps * instrs) in
+        Printf.printf
+          "%-26s %10.2f %9.4f ± %.4f %9.4f ± %.4f %7.2fx %7s %13.3f\n" name
           (float_of_int instrs /. 1e6)
           mean_ref sd_ref mean_stg sd_stg speedup
-          (if parity then "ok" else "FAIL");
+          (if parity then "ok" else "FAIL")
+          words_stg;
         let engine_json mean var sd runs =
           Json_out.Obj
             [ "mean_s", Json_out.Float mean;
@@ -946,6 +957,7 @@ let profile () =
               "dynamic_instrs", Json_out.Int instrs;
               "reference", engine_json mean_ref var_ref sd_ref runs_ref;
               "staged", engine_json mean_stg var_stg sd_stg runs_stg;
+              "staged_minor_words_per_instr", Json_out.Float words_stg;
               "speedup", Json_out.Float speedup;
               "profile_parity", Json_out.Bool parity ] ))
       profile_benchmarks

@@ -3,15 +3,25 @@ open Interp_common
 
 (* Staged (closure-compiled) interpreter engine.
 
-   Each basic block is pre-compiled once per run into a flat array of
-   instruction closures — executing a block is a tight loop of indirect
-   calls with no per-instruction match dispatch and no allocation.
-   Registers live in typed, integer-indexed banks ([ints] holds both I32
-   and Bool — booleans as 0/1 — [flts] holds F32), so the hot path never
-   boxes a value. Memory bases are resolved to their raw arrays at
-   compile time; constant-index bounds checks are discharged at compile
-   time; "uninitialized register" checks are elided wherever a forward
-   must-defined dataflow proves the read safe.
+   Each basic block is compiled once per run into a flat array of
+   instruction closures, and executing a block is a tight loop of
+   indirect calls with no per-instruction match dispatch. Registers live
+   in typed, integer-indexed banks ([ints] holds both I32 and Bool —
+   booleans as 0/1 — [flts] holds F32). Codegen resolves every operand
+   once: a register that a forward must-defined dataflow proves written
+   becomes its bank index, an immediate stays a constant. An instruction
+   whose operands all resolve that way compiles to one closure written
+   out for its opcode and operand shape, which reads and writes the banks
+   directly, so nothing is boxed or allocated; a branch on a proven
+   register reads the bank in the block loop. Everything else keeps the
+   generic closures, which call one reader closure per operand and one
+   writer: operands that may be unwritten, whose checked reader raises
+   the reference engine's "uninitialized register" error in its
+   evaluation order; calls, returns and shapes the benchmarks seldom
+   execute (two immediates, a constant index); and, in a
+   cache-simulation run, loads and stores, which report every access to
+   the cache. Memory bases are resolved to their raw arrays at compile
+   time, and constant-index bounds checks are discharged there.
 
    None of this is allowed to be observable: the engine is only used for
    programs that pass a whole-program static cleanliness check
@@ -340,6 +350,7 @@ and sterm =
   | S_halt (* codegen placeholder, never executed *)
   | S_jump of sedge
   | S_branch of (frame -> int) * sedge * sedge
+  | S_branch_reg of int * sedge * sedge (* proven-defined bool, bank index *)
   | S_ret_int of (frame -> int)
   | S_ret_bool of (frame -> int)
   | S_ret_float of (frame -> float)
@@ -388,6 +399,192 @@ let frame_read (sf : sfunc) (fr : frame) (rid : string) : Value.t option =
          | Ir.Types.I32 -> Value.Vint fr.ints.(ri.bidx)
          | Ir.Types.Bool -> Value.Vbool (fr.ints.(ri.bidx) <> 0)
          | Ir.Types.F32 -> Value.Vfloat fr.flts.(ri.bidx))
+
+(* ------------------------------------------------------------------ *)
+(* Specialised instruction closures                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* An operand as codegen resolves it: a register the must-defined
+   analysis proves written ([Reg] holds its bank index), an int/bool or
+   float immediate, or a register that may still be unwritten and so
+   goes through the checked reader. *)
+type shape = Reg of int | Imm of int | Fimm of float | Checked
+
+(* Bank accessors for the specialised closures. They are small enough
+   for ocamlopt to inline without flambda, so a float stays unboxed from
+   the bank read to the bank write. Every write sets the destination's
+   def byte, as the generic writers do. *)
+let[@inline] rdi fr x = Array.unsafe_get fr.ints x
+let[@inline] rdf fr x = Array.unsafe_get fr.flts x
+
+let[@inline] wri fr d u v =
+  Array.unsafe_set fr.ints d v;
+  Bytes.unsafe_set fr.def u '\001'
+
+let[@inline] wrf fr d u v =
+  Array.unsafe_set fr.flts d v;
+  Bytes.unsafe_set fr.def u '\001'
+
+let oob base n idx =
+  Memory.Fault (Printf.sprintf "index %d out of bounds for %s[%d]" idx base n)
+
+(* Bank register [x] as an index into [base], which has [n] cells. *)
+let[@inline] bank_index fr x base n =
+  let idx = rdi fr x in
+  if idx < 0 || idx >= n then raise (oob base n idx);
+  idx
+
+(* One closure per (operator, shape) writing bank slot [d] (def byte
+   [u]); [None] leaves the instruction to the generic closures. Each
+   body is written out: passing the operator to a shared helper as a
+   function boxes every float result, and matching on it inside one
+   closure costs about twice as much per instruction. Commutative
+   integer operators take imm/reg through the reg/imm closure; float
+   operators keep the operand order, which decides the result when both
+   operands are NaN. *)
+let bin_code (op : Ir.Op.bin) d u a b : (frame -> unit) option =
+  match op, a, b with
+  | Ir.Op.Add, Reg x, Reg y -> Some (fun fr -> wri fr d u (rdi fr x + rdi fr y))
+  | Ir.Op.Add, Reg x, Imm k | Ir.Op.Add, Imm k, Reg x ->
+    Some (fun fr -> wri fr d u (rdi fr x + k))
+  | Ir.Op.Sub, Reg x, Reg y -> Some (fun fr -> wri fr d u (rdi fr x - rdi fr y))
+  | Ir.Op.Sub, Reg x, Imm k -> Some (fun fr -> wri fr d u (rdi fr x - k))
+  | Ir.Op.Sub, Imm k, Reg y -> Some (fun fr -> wri fr d u (k - rdi fr y))
+  | Ir.Op.Mul, Reg x, Reg y -> Some (fun fr -> wri fr d u (rdi fr x * rdi fr y))
+  | Ir.Op.Mul, Reg x, Imm k | Ir.Op.Mul, Imm k, Reg x ->
+    Some (fun fr -> wri fr d u (rdi fr x * k))
+  | Ir.Op.Div, Reg x, Reg y ->
+    Some
+      (fun fr ->
+        let n = rdi fr y in
+        if n = 0 then raise (Runtime_error "integer division by zero");
+        wri fr d u (rdi fr x / n))
+  | Ir.Op.Div, Reg x, Imm k when k <> 0 ->
+    Some (fun fr -> wri fr d u (rdi fr x / k))
+  | Ir.Op.Div, Imm k, Reg y ->
+    Some
+      (fun fr ->
+        let n = rdi fr y in
+        if n = 0 then raise (Runtime_error "integer division by zero");
+        wri fr d u (k / n))
+  | Ir.Op.Rem, Reg x, Reg y ->
+    Some
+      (fun fr ->
+        let n = rdi fr y in
+        if n = 0 then raise (Runtime_error "integer remainder by zero");
+        wri fr d u (rdi fr x mod n))
+  | Ir.Op.Rem, Reg x, Imm k when k <> 0 ->
+    Some (fun fr -> wri fr d u (rdi fr x mod k))
+  | Ir.Op.Rem, Imm k, Reg y ->
+    Some
+      (fun fr ->
+        let n = rdi fr y in
+        if n = 0 then raise (Runtime_error "integer remainder by zero");
+        wri fr d u (k mod n))
+  | Ir.Op.And, Reg x, Reg y ->
+    Some (fun fr -> wri fr d u (rdi fr x land rdi fr y))
+  | Ir.Op.And, Reg x, Imm k | Ir.Op.And, Imm k, Reg x ->
+    Some (fun fr -> wri fr d u (rdi fr x land k))
+  | Ir.Op.Or, Reg x, Reg y ->
+    Some (fun fr -> wri fr d u (rdi fr x lor rdi fr y))
+  | Ir.Op.Or, Reg x, Imm k | Ir.Op.Or, Imm k, Reg x ->
+    Some (fun fr -> wri fr d u (rdi fr x lor k))
+  | Ir.Op.Xor, Reg x, Reg y ->
+    Some (fun fr -> wri fr d u (rdi fr x lxor rdi fr y))
+  | Ir.Op.Xor, Reg x, Imm k | Ir.Op.Xor, Imm k, Reg x ->
+    Some (fun fr -> wri fr d u (rdi fr x lxor k))
+  | Ir.Op.Shl, Reg x, Reg y ->
+    Some (fun fr -> wri fr d u (rdi fr x lsl rdi fr y))
+  | Ir.Op.Shl, Reg x, Imm k -> Some (fun fr -> wri fr d u (rdi fr x lsl k))
+  | Ir.Op.Shl, Imm k, Reg y -> Some (fun fr -> wri fr d u (k lsl rdi fr y))
+  | Ir.Op.Shr, Reg x, Reg y ->
+    Some (fun fr -> wri fr d u (rdi fr x asr rdi fr y))
+  | Ir.Op.Shr, Reg x, Imm k -> Some (fun fr -> wri fr d u (rdi fr x asr k))
+  | Ir.Op.Shr, Imm k, Reg y -> Some (fun fr -> wri fr d u (k asr rdi fr y))
+  | Ir.Op.Fadd, Reg x, Reg y ->
+    Some (fun fr -> wrf fr d u (rdf fr x +. rdf fr y))
+  | Ir.Op.Fadd, Reg x, Fimm k -> Some (fun fr -> wrf fr d u (rdf fr x +. k))
+  | Ir.Op.Fadd, Fimm k, Reg y -> Some (fun fr -> wrf fr d u (k +. rdf fr y))
+  | Ir.Op.Fsub, Reg x, Reg y ->
+    Some (fun fr -> wrf fr d u (rdf fr x -. rdf fr y))
+  | Ir.Op.Fsub, Reg x, Fimm k -> Some (fun fr -> wrf fr d u (rdf fr x -. k))
+  | Ir.Op.Fsub, Fimm k, Reg y -> Some (fun fr -> wrf fr d u (k -. rdf fr y))
+  | Ir.Op.Fmul, Reg x, Reg y ->
+    Some (fun fr -> wrf fr d u (rdf fr x *. rdf fr y))
+  | Ir.Op.Fmul, Reg x, Fimm k -> Some (fun fr -> wrf fr d u (rdf fr x *. k))
+  | Ir.Op.Fmul, Fimm k, Reg y -> Some (fun fr -> wrf fr d u (k *. rdf fr y))
+  | Ir.Op.Fdiv, Reg x, Reg y ->
+    Some (fun fr -> wrf fr d u (rdf fr x /. rdf fr y))
+  | Ir.Op.Fdiv, Reg x, Fimm k -> Some (fun fr -> wrf fr d u (rdf fr x /. k))
+  | Ir.Op.Fdiv, Fimm k, Reg y -> Some (fun fr -> wrf fr d u (k /. rdf fr y))
+  | _ -> None
+
+(* [k op y] is [y (mirror op) k], NaN included, so imm/reg compares
+   reuse the reg/imm closures. *)
+let mirror (op : Ir.Op.cmp) : Ir.Op.cmp =
+  match op with
+  | Ir.Op.Lt -> Ir.Op.Gt
+  | Ir.Op.Gt -> Ir.Op.Lt
+  | Ir.Op.Le -> Ir.Op.Ge
+  | Ir.Op.Ge -> Ir.Op.Le
+  | Ir.Op.Flt -> Ir.Op.Fgt
+  | Ir.Op.Fgt -> Ir.Op.Flt
+  | Ir.Op.Fle -> Ir.Op.Fge
+  | Ir.Op.Fge -> Ir.Op.Fle
+  | (Ir.Op.Eq | Ir.Op.Ne | Ir.Op.Feq | Ir.Op.Fne) as op -> op
+
+let rec cmp_code (op : Ir.Op.cmp) d u a b : (frame -> unit) option =
+  match op, a, b with
+  | _, (Imm _ | Fimm _), Reg _ -> cmp_code (mirror op) d u b a
+  | Ir.Op.Eq, Reg x, Reg y ->
+    Some (fun fr -> wri fr d u (if rdi fr x = rdi fr y then 1 else 0))
+  | Ir.Op.Eq, Reg x, Imm k ->
+    Some (fun fr -> wri fr d u (if rdi fr x = k then 1 else 0))
+  | Ir.Op.Ne, Reg x, Reg y ->
+    Some (fun fr -> wri fr d u (if rdi fr x <> rdi fr y then 1 else 0))
+  | Ir.Op.Ne, Reg x, Imm k ->
+    Some (fun fr -> wri fr d u (if rdi fr x <> k then 1 else 0))
+  | Ir.Op.Lt, Reg x, Reg y ->
+    Some (fun fr -> wri fr d u (if rdi fr x < rdi fr y then 1 else 0))
+  | Ir.Op.Lt, Reg x, Imm k ->
+    Some (fun fr -> wri fr d u (if rdi fr x < k then 1 else 0))
+  | Ir.Op.Le, Reg x, Reg y ->
+    Some (fun fr -> wri fr d u (if rdi fr x <= rdi fr y then 1 else 0))
+  | Ir.Op.Le, Reg x, Imm k ->
+    Some (fun fr -> wri fr d u (if rdi fr x <= k then 1 else 0))
+  | Ir.Op.Gt, Reg x, Reg y ->
+    Some (fun fr -> wri fr d u (if rdi fr x > rdi fr y then 1 else 0))
+  | Ir.Op.Gt, Reg x, Imm k ->
+    Some (fun fr -> wri fr d u (if rdi fr x > k then 1 else 0))
+  | Ir.Op.Ge, Reg x, Reg y ->
+    Some (fun fr -> wri fr d u (if rdi fr x >= rdi fr y then 1 else 0))
+  | Ir.Op.Ge, Reg x, Imm k ->
+    Some (fun fr -> wri fr d u (if rdi fr x >= k then 1 else 0))
+  | Ir.Op.Feq, Reg x, Reg y ->
+    Some (fun fr -> wri fr d u (if rdf fr x = rdf fr y then 1 else 0))
+  | Ir.Op.Feq, Reg x, Fimm k ->
+    Some (fun fr -> wri fr d u (if rdf fr x = k then 1 else 0))
+  | Ir.Op.Fne, Reg x, Reg y ->
+    Some (fun fr -> wri fr d u (if rdf fr x <> rdf fr y then 1 else 0))
+  | Ir.Op.Fne, Reg x, Fimm k ->
+    Some (fun fr -> wri fr d u (if rdf fr x <> k then 1 else 0))
+  | Ir.Op.Flt, Reg x, Reg y ->
+    Some (fun fr -> wri fr d u (if rdf fr x < rdf fr y then 1 else 0))
+  | Ir.Op.Flt, Reg x, Fimm k ->
+    Some (fun fr -> wri fr d u (if rdf fr x < k then 1 else 0))
+  | Ir.Op.Fle, Reg x, Reg y ->
+    Some (fun fr -> wri fr d u (if rdf fr x <= rdf fr y then 1 else 0))
+  | Ir.Op.Fle, Reg x, Fimm k ->
+    Some (fun fr -> wri fr d u (if rdf fr x <= k then 1 else 0))
+  | Ir.Op.Fgt, Reg x, Reg y ->
+    Some (fun fr -> wri fr d u (if rdf fr x > rdf fr y then 1 else 0))
+  | Ir.Op.Fgt, Reg x, Fimm k ->
+    Some (fun fr -> wri fr d u (if rdf fr x > k then 1 else 0))
+  | Ir.Op.Fge, Reg x, Reg y ->
+    Some (fun fr -> wri fr d u (if rdf fr x >= rdf fr y then 1 else 0))
+  | Ir.Op.Fge, Reg x, Fimm k ->
+    Some (fun fr -> wri fr d u (if rdf fr x >= k then 1 else 0))
+  | _ -> None
 
 (* Bump a lazily-bound profile counter. The slot is created on first
    execution (not at compile time), so the profile hashtables see
@@ -451,6 +648,10 @@ let exec_sfunc (cx : ctx) (sf : sfunc) (fr : frame) : unit =
       cur := e.e_target
     | S_branch (c, te, fe) ->
       let e = if c fr <> 0 then te else fe in
+      bump_edge cx b e;
+      cur := e.e_target
+    | S_branch_reg (x, te, fe) ->
+      let e = if Array.unsafe_get fr.ints x <> 0 then te else fe in
       bump_edge cx b e;
       cur := e.e_target
     | S_ret_int f ->
@@ -611,10 +812,6 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option) :
             match cache with
             | Some c -> fun index -> ignore (Cache.access c ~base ~index : bool)
             | None -> fun _ -> ()
-          in
-          let oob base n idx =
-            Memory.Fault
-              (Printf.sprintf "index %d out of bounds for %s[%d]" idx base n)
           in
           let is_float_op (ty : Ir.Types.t) =
             match ty with
@@ -904,10 +1101,117 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option) :
                     fun fr -> set fr (call fr).reti
                   | R_void -> assert false (* ruled out by analysis *)))
           in
+          let shape (o : Ir.Instr.operand) =
+            match o with
+            | Ir.Instr.Reg r ->
+              let ri = ri_of r in
+              if defined.(ri.uid) then Reg ri.bidx else Checked
+            | Ir.Instr.Imm_int n -> Imm n
+            | Ir.Instr.Imm_bool bv -> Imm (if bv then 1 else 0)
+            | Ir.Instr.Imm_float x -> Fimm x
+          in
+          let int_cells base = Memory.int_cells cx.cx_mem base in
+          let float_cells base =
+            Option.get (Memory.float_cells cx.cx_mem base)
+          in
+          (* The one-closure form of [i], when its operands allow one. A
+             cache-simulation run keeps the generic loads and stores,
+             which report every access to the cache. *)
+          let specialised (i : Ir.Instr.t) : (frame -> unit) option =
+            match i with
+            | Ir.Instr.Binary (r, op, a, b) ->
+              let ri = ri_of r in
+              bin_code op ri.bidx ri.uid (shape a) (shape b)
+            | Ir.Instr.Compare (r, op, a, b) ->
+              let ri = ri_of r in
+              cmp_code op ri.bidx ri.uid (shape a) (shape b)
+            | Ir.Instr.Unary (r, op, o) ->
+              let { bidx = d; uid = u; _ } = ri_of r in
+              (match op, shape o with
+               | Ir.Op.Neg, Reg x -> Some (fun fr -> wri fr d u (-rdi fr x))
+               | Ir.Op.Not, Reg x ->
+                 Some (fun fr -> wri fr d u (rdi fr x lxor 1))
+               | Ir.Op.Fneg, Reg x -> Some (fun fr -> wrf fr d u (-.rdf fr x))
+               | Ir.Op.Int_of_float, Reg x ->
+                 Some (fun fr -> wri fr d u (int_of_float (rdf fr x)))
+               | Ir.Op.Float_of_int, Reg x ->
+                 Some (fun fr -> wrf fr d u (float_of_int (rdi fr x)))
+               | _ -> None)
+            | Ir.Instr.Assign (r, o) ->
+              let { bidx = d; uid = u; rty } = ri_of r in
+              (match shape o with
+               | Reg x when is_float_op rty ->
+                 Some (fun fr -> wrf fr d u (rdf fr x))
+               | Reg x -> Some (fun fr -> wri fr d u (rdi fr x))
+               | Imm k -> Some (fun fr -> wri fr d u k)
+               | Fimm k -> Some (fun fr -> wrf fr d u k)
+               | Checked -> None)
+            | Ir.Instr.Select (r, c, a, b) ->
+              let { bidx = d; uid = u; rty } = ri_of r in
+              (match shape c, shape a, shape b with
+               | Reg p, Reg x, Reg y when is_float_op rty ->
+                 Some
+                   (fun fr ->
+                     wrf fr d u (if rdi fr p <> 0 then rdf fr x else rdf fr y))
+               | Reg p, Reg x, Reg y ->
+                 Some
+                   (fun fr ->
+                     wri fr d u (if rdi fr p <> 0 then rdi fr x else rdi fr y))
+               | Reg p, Reg x, Imm k ->
+                 Some
+                   (fun fr ->
+                     wri fr d u (if rdi fr p <> 0 then rdi fr x else k))
+               | _ -> None)
+            | Ir.Instr.Load (r, { Ir.Instr.base; index })
+              when Option.is_none cache ->
+              let { bidx = d; uid = u; _ } = ri_of r in
+              (match shape index, int_cells base with
+               | Reg x, Some arr ->
+                 let n = Array.length arr in
+                 Some
+                   (fun fr ->
+                     wri fr d u (Array.unsafe_get arr (bank_index fr x base n)))
+               | Reg x, None ->
+                 let arr = float_cells base in
+                 let n = Array.length arr in
+                 Some
+                   (fun fr ->
+                     wrf fr d u (Array.unsafe_get arr (bank_index fr x base n)))
+               | _ -> None)
+            | Ir.Instr.Store ({ Ir.Instr.base; index }, v)
+              when Option.is_none cache ->
+              (match shape index, shape v, int_cells base with
+               | Reg x, Reg y, Some arr ->
+                 let n = Array.length arr in
+                 Some
+                   (fun fr ->
+                     Array.unsafe_set arr (bank_index fr x base n) (rdi fr y))
+               | Reg x, Imm k, Some arr ->
+                 let n = Array.length arr in
+                 Some
+                   (fun fr -> Array.unsafe_set arr (bank_index fr x base n) k)
+               | Reg x, Reg y, None ->
+                 let arr = float_cells base in
+                 let n = Array.length arr in
+                 Some
+                   (fun fr ->
+                     Array.unsafe_set arr (bank_index fr x base n) (rdf fr y))
+               | Reg x, Fimm k, None ->
+                 let arr = float_cells base in
+                 let n = Array.length arr in
+                 Some
+                   (fun fr -> Array.unsafe_set arr (bank_index fr x base n) k)
+               | _ -> None)
+            | Ir.Instr.Load _ | Ir.Instr.Store _ | Ir.Instr.Call _ -> None
+          in
           let code =
             List.map
               (fun i ->
-                let c = compile_instr i in
+                let c =
+                  match specialised i with
+                  | Some c -> c
+                  | None -> compile_instr i
+                in
                 (* Advance the defined set past this instruction for the
                    operands compiled after it. *)
                 (match Ir.Instr.def i with
@@ -927,7 +1231,9 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option) :
             (match b.Ir.Block.term with
              | Ir.Instr.Jump l -> S_jump (edge l)
              | Ir.Instr.Branch (c, t, fl) ->
-               S_branch (ci c, edge t, edge fl)
+               (match shape c with
+                | Reg x -> S_branch_reg (x, edge t, edge fl)
+                | Imm _ | Fimm _ | Checked -> S_branch (ci c, edge t, edge fl))
              | Ir.Instr.Return None -> S_ret_void
              | Ir.Instr.Return (Some o) ->
                (match fm.fm_ret with

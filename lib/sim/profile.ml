@@ -139,10 +139,6 @@ let avg_trip (f : Ir.Func.t) t (l : An.Loops.loop) =
   in
   if entries = 0 then 0.0
   else
-    (* Header executions per entry = trips + 1 for rotated-exit loops; we
-       count body iterations via back edges + the first body entry. *)
-    let header_execs = block_exec t ~func ~label:l.An.Loops.header in
-    let _ = header_execs in
     let body_iters = back + entries in
     (* back edges give iterations after the first; loops whose body never
        runs (zero-trip) contribute an entry but no back edge. Iterations =

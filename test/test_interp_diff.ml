@@ -25,7 +25,7 @@ type event =
 let watched_regs =
   [ "t0"; "t1"; "t2"; "t3"; "i"; "c"; (* test_memo generator *)
     "f0"; "f1"; "f2"; "f3"; "n0"; "n1"; "n2"; "n3"; "c0"; "c1"; "k"; "u";
-    "x"; "y"; "a"; "w" (* typed generator + helpers *) ]
+    "s"; "x"; "y"; "a"; "w" (* typed generator + helpers *) ]
 
 let snap read = List.map (fun r -> r, read r) watched_regs
 
@@ -216,9 +216,10 @@ let arb_memo_program =
 
 (* A richer, mostly well-typed generator aimed at the staged fast path:
    typed register banks (float f0-f3, int n0-n3, bool c0-c1), integer
-   division/remainder with zero denominators, int and float arrays with
-   sometimes-out-of-bounds indices, select, calls (int, float, bool and
-   void returns), and an intentionally never-written register "u". *)
+   division/remainder with zero denominators, shifts, every comparison
+   and unary operator, int and float arrays with sometimes-out-of-bounds
+   indices, int and float select, calls (int, float, bool and void
+   returns), and an intentionally never-written register "u". *)
 
 let freg i = Ir.Instr.reg (Printf.sprintf "f%d" i) Ir.Types.F32
 let ireg i = Ir.Instr.reg (Printf.sprintf "n%d" i) Ir.Types.I32
@@ -226,14 +227,18 @@ let breg i = Ir.Instr.reg (Printf.sprintf "c%d" i) Ir.Types.Bool
 let kreg = Ir.Instr.reg "k" Ir.Types.I32
 let ureg = Ir.Instr.reg "u" Ir.Types.I32 (* never written: uninit reads *)
 
+(* Shift amount, written once in the entry block so every later read is
+   proven defined. *)
+let sreg = Ir.Instr.reg "s" Ir.Types.I32
+
 open QCheck.Gen
 
 let gen_iop =
   frequency
-    [ 4, map (fun i -> Ir.Instr.Reg (ireg i)) (int_range 0 3);
-      1, return (Ir.Instr.Reg kreg);
+    [ 16, map (fun i -> Ir.Instr.Reg (ireg i)) (int_range 0 3);
+      4, return (Ir.Instr.Reg kreg);
       1, return (Ir.Instr.Reg ureg);
-      3, map (fun n -> Ir.Instr.Imm_int n) (int_range (-3) 9) ]
+      12, map (fun n -> Ir.Instr.Imm_int n) (int_range (-3) 9) ]
 
 let gen_fop =
   frequency
@@ -253,10 +258,15 @@ let gen_bop =
 let gen_idx =
   frequency
     [ 2, map (fun n -> Ir.Instr.Imm_int n) (int_range (-1) 8);
-      2, map (fun i -> Ir.Instr.Reg (ireg i)) (int_range 0 3);
-      1, return (Ir.Instr.Reg kreg) ]
+      1, map (fun i -> Ir.Instr.Reg (ireg i)) (int_range 0 3);
+      3, return (Ir.Instr.Reg kreg) ]
 
 let gen_fbase = map (fun b -> if b then "A" else "B") bool
+
+let gen_shift_amount =
+  frequency
+    [ 2, map (fun n -> Ir.Instr.Imm_int n) (int_range 0 31);
+      1, return (Ir.Instr.Reg sreg) ]
 
 let gen_typed_instr =
   frequency
@@ -269,6 +279,12 @@ let gen_typed_instr =
            Ir.Op.And; Ir.Op.Or; Ir.Op.Xor ]
        >>= fun op ->
        map2 (fun a b -> Ir.Instr.Binary (ireg d, op, a, b)) gen_iop gen_iop);
+      1,
+      (int_range 0 3 >>= fun d ->
+       oneofl [ Ir.Op.Shl; Ir.Op.Shr ] >>= fun op ->
+       map2
+         (fun a b -> Ir.Instr.Binary (ireg d, op, a, b))
+         gen_iop gen_shift_amount);
       2,
       (int_range 0 3 >>= fun d ->
        oneofl [ Ir.Op.Fadd; Ir.Op.Fsub; Ir.Op.Fmul; Ir.Op.Fdiv ]
@@ -276,11 +292,15 @@ let gen_typed_instr =
        map2 (fun a b -> Ir.Instr.Binary (freg d, op, a, b)) gen_fop gen_fop);
       2,
       (int_range 0 1 >>= fun d ->
-       oneofl [ Ir.Op.Lt; Ir.Op.Le; Ir.Op.Eq; Ir.Op.Ne ] >>= fun op ->
+       oneofl
+         [ Ir.Op.Lt; Ir.Op.Le; Ir.Op.Gt; Ir.Op.Ge; Ir.Op.Eq; Ir.Op.Ne ]
+       >>= fun op ->
        map2 (fun a b -> Ir.Instr.Compare (breg d, op, a, b)) gen_iop gen_iop);
       1,
       (int_range 0 1 >>= fun d ->
-       oneofl [ Ir.Op.Flt; Ir.Op.Fge ] >>= fun op ->
+       oneofl
+         [ Ir.Op.Flt; Ir.Op.Fle; Ir.Op.Fgt; Ir.Op.Fge; Ir.Op.Feq; Ir.Op.Fne ]
+       >>= fun op ->
        map2 (fun a b -> Ir.Instr.Compare (breg d, op, a, b)) gen_fop gen_fop);
       1,
       (int_range 0 3 >>= fun d ->
@@ -288,8 +308,23 @@ let gen_typed_instr =
          (fun c a b -> Ir.Instr.Select (ireg d, c, a, b))
          gen_bop gen_iop gen_iop);
       1,
+      (int_range 0 3 >>= fun d ->
+       map3
+         (fun c a b -> Ir.Instr.Select (freg d, c, a, b))
+         gen_bop gen_fop gen_fop);
+      1,
       map2 (fun d a -> Ir.Instr.Unary (ireg d, Ir.Op.Neg, a)) (int_range 0 3)
         gen_iop;
+      1,
+      map2 (fun d a -> Ir.Instr.Unary (breg d, Ir.Op.Not, a)) (int_range 0 1)
+        gen_bop;
+      1,
+      map2 (fun d a -> Ir.Instr.Unary (freg d, Ir.Op.Fneg, a)) (int_range 0 3)
+        gen_fop;
+      1,
+      map2
+        (fun d a -> Ir.Instr.Unary (ireg d, Ir.Op.Int_of_float, a))
+        (int_range 0 3) gen_fop;
       1,
       map2
         (fun d a -> Ir.Instr.Unary (freg d, Ir.Op.Float_of_int, a))
@@ -325,34 +360,96 @@ let gen_typed_instr =
        map (fun a -> Ir.Instr.Call (Some (breg d), "p", [ a ])) gen_iop);
       1, map (fun a -> Ir.Instr.Call (None, "v", [ a ])) gen_iop ]
 
-let gen_typed_body = list_size (int_range 1 5) gen_typed_instr
+let gen_typed_body = list_size (int_range 2 8) gen_typed_instr
 
-type shape = Straight | Diamond | Loop
+(* Entry-block initialisation of a random subset of the typed registers
+   (each with probability 7/8): later reads of an initialised register
+   are proven defined and run the staged engine's specialised closures,
+   the rest go through its checked readers. "k", the most frequent
+   index, starts in bounds; "u" is never written and the shift amount
+   "s" always is. *)
+let gen_prologue =
+  let maybe g = frequency [ 1, return []; 7, map (fun i -> [ i ]) g ] in
+  let init reg imm = maybe (map (fun o -> Ir.Instr.Assign (reg, o)) imm) in
+  let iimm = map (fun n -> Ir.Instr.Imm_int n) (int_range (-3) 9) in
+  let fimm =
+    map (fun n -> Ir.Instr.Imm_float (float_of_int n /. 4.0)) (int_range (-8) 8)
+  in
+  let bimm = map (fun b -> Ir.Instr.Imm_bool b) bool in
+  map
+    (fun (inits, amount) ->
+      Ir.Instr.Assign (sreg, Ir.Instr.Imm_int amount) :: List.concat inits)
+    (pair
+       (flatten_l
+          (init kreg (map (fun n -> Ir.Instr.Imm_int n) (int_range 0 7))
+          :: List.init 4 (fun i -> init (ireg i) iimm)
+          @ List.init 4 (fun i -> init (freg i) fimm)
+          @ List.init 2 (fun i -> init (breg i) bimm)))
+       (int_range 0 31))
+
+(* [Const_cond] branches on an immediate. [Late_cond] branches on the
+   bool c1, which the entry block never writes and only one path into
+   the join does; the must-defined analysis cannot prove it, so the
+   branch reads it through the checked reader (and raises when the other
+   path was taken, unless the join's own body wrote it). *)
+type shape = Straight | Diamond | Const_cond | Late_cond | Loop
 
 let gen_typed_func =
-  oneofl [ Straight; Diamond; Loop ] >>= fun shape ->
+  oneofl [ Straight; Diamond; Const_cond; Late_cond; Loop ] >>= fun shape ->
+  gen_prologue >>= fun prologue ->
   gen_typed_body >>= fun b1 ->
   gen_typed_body >>= fun b2 ->
   gen_typed_body >>= fun b3 ->
   gen_iop >>= fun cmp_rhs ->
   gen_iop >>= fun retv ->
+  bool >>= fun cond ->
   let block label instrs term = Ir.Block.v ~label ~instrs ~term in
   let ret = Ir.Instr.Return (Some retv) in
   let blocks =
     match shape with
-    | Straight -> [ block "entry" b1 ret ]
+    | Straight ->
+      [ block "entry" (prologue @ b1) (Ir.Instr.Jump "mid");
+        block "mid" b2 (Ir.Instr.Jump "last");
+        block "last" b3 ret ]
     | Diamond ->
       [ block "entry"
-          (b1
+          (prologue
+          @ b1
           @ [ Ir.Instr.Compare
                 (breg 0, Ir.Op.Lt, Ir.Instr.Reg (ireg 0), cmp_rhs) ])
           (Ir.Instr.Branch (Ir.Instr.Reg (breg 0), "then", "else"));
         block "then" b2 (Ir.Instr.Jump "join");
         block "else" b3 (Ir.Instr.Jump "join");
         block "join" [] ret ]
+    | Const_cond ->
+      [ block "entry" (prologue @ b1)
+          (Ir.Instr.Branch (Ir.Instr.Imm_bool cond, "then", "else"));
+        block "then" b2 (Ir.Instr.Jump "join");
+        block "else" b3 (Ir.Instr.Jump "join");
+        block "join" [] ret ]
+    | Late_cond ->
+      let writes_c1 i =
+        match Ir.Instr.def i with
+        | Some r -> String.equal r.Ir.Instr.id "c1"
+        | None -> false
+      in
+      [ block "entry"
+          (List.filter (fun i -> not (writes_c1 i)) (prologue @ b1)
+          @ [ Ir.Instr.Compare
+                (breg 0, Ir.Op.Lt, Ir.Instr.Reg (ireg 0), cmp_rhs) ])
+          (Ir.Instr.Branch (Ir.Instr.Reg (breg 0), "then", "join"));
+        block "then"
+          (b2
+          @ [ Ir.Instr.Compare
+                (breg 1, Ir.Op.Ge, Ir.Instr.Reg (ireg 1), cmp_rhs) ])
+          (Ir.Instr.Jump "join");
+        block "join" b3
+          (Ir.Instr.Branch (Ir.Instr.Reg (breg 1), "yes", "no"));
+        block "yes" [] ret;
+        block "no" [] (Ir.Instr.Return (Some cmp_rhs)) ]
     | Loop ->
       [ block "entry"
-          (Ir.Instr.Assign (kreg, Ir.Instr.Imm_int 0) :: b1)
+          (prologue @ (Ir.Instr.Assign (kreg, Ir.Instr.Imm_int 0) :: b1))
           (Ir.Instr.Jump "head");
         block "head"
           [ Ir.Instr.Compare

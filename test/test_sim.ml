@@ -161,6 +161,25 @@ let test_determinism () =
      | None, None -> true
      | Some _, None | None, Some _ -> false)
 
+(* The staged engine's instruction closures read and write the register
+   banks directly, so interpreting a float kernel allocates nothing per
+   instruction: what remains is per-run set-up (frames, closures,
+   profile slots), a small fraction of a word per instruction. *)
+let test_staged_no_alloc () =
+  List.iter
+    (fun name ->
+      let b = Cayman_suites.Suite.find_exn name in
+      let p = Cayman_suites.Suite.compile b in
+      let before = Gc.minor_words () in
+      let res = Sim.Interp.run ~engine:Sim.Interp.Staged p in
+      let words = Gc.minor_words () -. before in
+      let instrs = Sim.Profile.total_instrs res.Sim.Interp.profile in
+      let per_instr = words /. float_of_int instrs in
+      if per_instr >= 0.1 then
+        Alcotest.failf "%s: %.3f minor words per instruction (%d instrs)" name
+          per_instr instrs)
+    [ "atax"; "fft" ]
+
 (* qcheck: random integer expressions evaluated by the interpreter match
    an OCaml reference evaluation. *)
 type iexpr =
@@ -247,5 +266,7 @@ let tests =
       test_profile_totals_consistency;
     Alcotest.test_case "region profiling" `Quick test_region_profile;
     Alcotest.test_case "determinism" `Quick test_determinism;
+    Alcotest.test_case "staged engine does not allocate per instruction"
+      `Quick test_staged_no_alloc;
     qcheck_interp_matches_reference;
     qcheck_array_sum ]
