@@ -168,7 +168,7 @@ let fig2 () =
               List.map
                 (fun (l : An.Loops.loop) ->
                   l.An.Loops.header, Hls.Ctx.trip ctx l.An.Loops.header)
-                (An.Loops.enclosing ctx.Hls.Ctx.loops label)
+                (An.Scev.loop_nest ctx.Hls.Ctx.scev label)
             in
             let fp =
               An.Scev.footprint ctx.Hls.Ctx.scev ~block:label ~pos
@@ -177,7 +177,7 @@ let fig2 () =
                      (fun (h, _) ->
                        (* innermost loop only: footprint per dot_product run *)
                        String.equal h
-                         (match An.Loops.enclosing ctx.Hls.Ctx.loops label with
+                         (match An.Scev.loop_nest ctx.Hls.Ctx.scev label with
                           | l :: _ -> l.An.Loops.header
                           | [] -> ""))
                      trips)

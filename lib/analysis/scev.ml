@@ -21,6 +21,11 @@ type pattern =
 
 type iv_info = { iv_loop : string; step : int; start : form }
 
+(* What [create] derives for one instruction: the affine form of its
+   address and its pattern ([Unknown] and [Irregular] for non-memory
+   instructions). *)
+type access = { form : form; pattern : pattern }
+
 type t = {
   func : Ir.Func.t;
   loops : Loops.t;
@@ -28,6 +33,10 @@ type t = {
   defs : (string, (string * int) list) Hashtbl.t;
   params : String_set.t;
   block_index : (string, Ir.Block.t) Hashtbl.t;
+  nests : (string, Loops.loop list) Hashtbl.t;
+      (* innermost-first loop nest of every block *)
+  accesses : (string, access array) Hashtbl.t;
+      (* per block, indexed by instruction position *)
 }
 
 let const n = { const = n; ivs = []; syms = [] }
@@ -148,25 +157,14 @@ let detect_ivs (f : Ir.Func.t) (loops : Loops.t) defs =
     loops;
   ivs
 
-let create (f : Ir.Func.t) (loops : Loops.t) =
-  let defs = collect_defs f in
-  let block_index = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Ir.Block.t) -> Hashtbl.replace block_index b.Ir.Block.label b)
-    f.Ir.Func.blocks;
-  let params =
-    String_set.of_list
-      (List.map (fun (r : Ir.Instr.reg) -> r.Ir.Instr.id) f.Ir.Func.params)
-  in
-  let t =
-    { func = f; loops; ivs = detect_ivs f loops defs; defs; params; block_index }
-  in
-  (* Resolve IV start values now that the resolver state exists. *)
-  t
-
 (* --- resolution --- *)
 
 let max_depth = 64
+
+let loop_nest t label =
+  match Hashtbl.find_opt t.nests label with
+  | Some nest -> nest
+  | None -> []
 
 let rec resolve t ~block ~pos ~depth (o : Ir.Instr.operand) : form =
   if depth > max_depth then Unknown
@@ -192,7 +190,7 @@ and resolve_reg t ~block ~pos ~depth rid =
     resolve_def t ~block:b ~pos:i ~depth
   | [] ->
     (* Live-in to this block: IV, unique remote def, parameter, or give up. *)
-    let enclosing = Loops.enclosing t.loops block in
+    let enclosing = loop_nest t block in
     let as_iv =
       match Hashtbl.find_opt t.ivs rid with
       | Some iv
@@ -217,7 +215,7 @@ and resolve_reg t ~block ~pos ~depth rid =
              conservatively require the def site to be outside every loop
              that contains [block] but not the def). *)
           let def_loops =
-            List.map (fun (l : Loops.loop) -> l.Loops.header) (Loops.enclosing t.loops b)
+            List.map (fun (l : Loops.loop) -> l.Loops.header) (loop_nest t b)
           in
           let use_loops =
             List.map (fun (l : Loops.loop) -> l.Loops.header) enclosing
@@ -308,18 +306,6 @@ and resolve_def t ~block ~pos ~depth =
   | Ir.Instr.Store _ | Ir.Instr.Call _ ->
     Unknown
 
-(* Form of the address of the memory instruction at [(block, pos)]. *)
-let access_form t ~block ~pos =
-  match Hashtbl.find_opt t.block_index block with
-  | None -> Unknown
-  | Some b ->
-    (match List.nth_opt b.Ir.Block.instrs pos with
-     | Some instr ->
-       (match Ir.Instr.mem_ref_of instr with
-        | Some m -> resolve t ~block ~pos ~depth:0 m.Ir.Instr.index
-        | None -> Unknown)
-     | None -> Unknown)
-
 let coeff_of (a : affine) header =
   match List.assoc_opt header a.ivs with
   | Some c -> c
@@ -327,17 +313,66 @@ let coeff_of (a : affine) header =
 
 let m_classified = Obs.Metrics.counter "analysis.scev_accesses_classified"
 
-(* Access pattern with respect to the innermost enclosing loop. *)
-let classify t ~block ~pos =
-  Obs.Metrics.incr m_classified;
-  match access_form t ~block ~pos with
-  | Unknown -> Irregular
-  | Affine a ->
-    (match Loops.enclosing t.loops block with
-     | [] -> Invariant
-     | innermost :: _ ->
-       let c = coeff_of a innermost.Loops.header in
-       if c = 0 then Invariant else Stream c)
+let no_access = { form = Unknown; pattern = Irregular }
+
+(* Form and pattern (with respect to the innermost enclosing loop) of the
+   memory instruction at [(block, pos)]. *)
+let resolve_access t ~block ~pos instr =
+  match Ir.Instr.mem_ref_of instr with
+  | None -> no_access
+  | Some m ->
+    Obs.Metrics.incr m_classified;
+    let form = resolve t ~block ~pos ~depth:0 m.Ir.Instr.index in
+    let pattern =
+      match form, loop_nest t block with
+      | Unknown, _ -> Irregular
+      | Affine _, [] -> Invariant
+      | Affine a, innermost :: _ ->
+        let c = coeff_of a innermost.Loops.header in
+        if c = 0 then Invariant else Stream c
+    in
+    { form; pattern }
+
+(* Every table is filled here, before the value is shared: pool tasks
+   read one [t] from several domains, so queries must not write. *)
+let create (f : Ir.Func.t) (loops : Loops.t) =
+  let defs = collect_defs f in
+  let block_index = Hashtbl.create 16 in
+  let nests = Hashtbl.create 16 in
+  List.iter
+    (fun (b : Ir.Block.t) ->
+      Hashtbl.replace block_index b.Ir.Block.label b;
+      Hashtbl.replace nests b.Ir.Block.label
+        (Loops.enclosing loops b.Ir.Block.label))
+    f.Ir.Func.blocks;
+  let params =
+    String_set.of_list
+      (List.map (fun (r : Ir.Instr.reg) -> r.Ir.Instr.id) f.Ir.Func.params)
+  in
+  let t =
+    { func = f; loops; ivs = detect_ivs f loops defs; defs; params;
+      block_index; nests; accesses = Hashtbl.create 16 }
+  in
+  List.iter
+    (fun (b : Ir.Block.t) ->
+      let block = b.Ir.Block.label in
+      Hashtbl.replace t.accesses block
+        (Array.of_list
+           (List.mapi (fun pos i -> resolve_access t ~block ~pos i)
+              b.Ir.Block.instrs)))
+    f.Ir.Func.blocks;
+  t
+
+(* --- queries: table lookups --- *)
+
+let access t ~block ~pos =
+  match Hashtbl.find_opt t.accesses block with
+  | Some a when pos >= 0 && pos < Array.length a -> a.(pos)
+  | Some _ | None -> no_access
+
+let access_form t ~block ~pos = (access t ~block ~pos).form
+
+let classify t ~block ~pos = (access t ~block ~pos).pattern
 
 (* Footprint of the access over one execution of a region: the number of
    distinct elements touched while the loops in [trips] (header, trip
@@ -346,9 +381,7 @@ let footprint t ~block ~pos ~trips =
   match access_form t ~block ~pos with
   | Unknown -> None
   | Affine a when
-      List.exists
-        (fun (s, _) -> String.length s >= 4 && String.equal (String.sub s 0 4) "inv:")
-        a.syms ->
+      List.exists (fun (s, _) -> String.starts_with ~prefix:"inv:" s) a.syms ->
     (* The form hides variation of outer loops inside an invariant
        symbol: the true footprint is not statically analyzable. *)
     None

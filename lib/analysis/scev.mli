@@ -27,21 +27,31 @@ type iv_info = { iv_loop : string; step : int; start : form }
 
 type t
 
+(** [create f loops] resolves, once, the affine address form and the
+    pattern of every memory instruction of [f] and the loop nest of every
+    block. The queries below only read these tables, so one [t] can be
+    shared by several domains. Counts one
+    [analysis.scev_accesses_classified] per memory instruction. *)
 val create : Cayman_ir.Func.t -> Loops.t -> t
 
 val affine_equal : affine -> affine -> bool
 val coeff_of : affine -> string -> int
 
+(** Loops containing the block, innermost first (a lookup). *)
+val loop_nest : t -> string -> Loops.loop list
+
 (** Affine form of the address of the memory instruction at [(block, pos)]
-    (instruction index within the block). *)
+    (instruction index within the block); a lookup. *)
 val access_form : t -> block:string -> pos:int -> form
 
+(** Pattern of that access with respect to its innermost loop; a
+    lookup. *)
 val classify : t -> block:string -> pos:int -> pattern
 
 (** [footprint t ~block ~pos ~trips] is the number of distinct elements the
     access touches while the loops in [trips] (pairs of header label and
     trip count) run; [None] when the address is not statically
-    analyzable. *)
+    analyzable. Looks the form up and sums its strides over [trips]. *)
 val footprint :
   t -> block:string -> pos:int -> trips:(string * int) list -> int option
 

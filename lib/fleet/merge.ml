@@ -47,7 +47,7 @@ let kind_string = function
 let loop_depth_of (ctx : Hls.Ctx.t) (region : An.Region.t) =
   An.Region.String_set.fold
     (fun l acc ->
-      max acc (List.length (An.Loops.enclosing ctx.Hls.Ctx.loops l)))
+      max acc (List.length (An.Scev.loop_nest ctx.Hls.Ctx.scev l)))
     region.An.Region.blocks 0
 
 let summarize opts index =

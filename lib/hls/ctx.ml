@@ -3,11 +3,14 @@ module An = Cayman_analysis
 module Sim = Cayman_sim
 
 (* Per-function bundle of every analysis the accelerator model consumes:
-   the paper's "profiling/analysis results R". *)
+   the paper's "profiling/analysis results R". Everything is computed in
+   [create]; afterwards the bundle is only read, by several domains at
+   once during selection. *)
 type t = {
   program : Ir.Program.t;
   func : Ir.Func.t;
   profile : Sim.Profile.t;
+  preds : (string, string list) Hashtbl.t;
   dom : An.Dominance.t;
   loops : An.Loops.t;
   live : An.Liveness.t;
@@ -18,6 +21,7 @@ type t = {
 }
 
 let create program profile (func : Ir.Func.t) =
+  let preds = Ir.Func.preds func in
   let dom = An.Dominance.dominators func in
   let loops = An.Loops.find func dom in
   let live = An.Liveness.compute func in
@@ -28,14 +32,16 @@ let create program profile (func : Ir.Func.t) =
     (fun (l : An.Loops.loop) ->
       Hashtbl.replace loop_info l.An.Loops.header
         (An.Memdep.analyze_loop func live scev l);
-      Hashtbl.replace trips l.An.Loops.header (Sim.Profile.avg_trip func profile l))
+      Hashtbl.replace trips l.An.Loops.header
+        (Sim.Profile.avg_trip ~preds func profile l))
     loops;
   let dfgs = Hashtbl.create 16 in
   List.iter
     (fun (b : Ir.Block.t) ->
       Hashtbl.replace dfgs b.Ir.Block.label (Dfg.of_block b))
     func.Ir.Func.blocks;
-  { program; func; profile; dom; loops; live; scev; loop_info; dfgs; trips }
+  { program; func; profile; preds; dom; loops; live; scev; loop_info; dfgs;
+    trips }
 
 let dfg t label = Hashtbl.find t.dfgs label
 
@@ -50,9 +56,11 @@ let trip t header =
 let block_exec t label =
   Sim.Profile.block_exec t.profile ~func:t.func.Ir.Func.name ~label
 
+let region_entries t r =
+  Sim.Profile.region_entries ~preds:t.preds t.func t.profile r
+
 (* Entries into a loop from outside it. *)
 let loop_entries t (l : An.Loops.loop) =
-  let preds = Ir.Func.preds t.func in
   List.fold_left
     (fun acc p ->
       if An.Loops.String_set.mem p l.An.Loops.blocks then acc
@@ -61,7 +69,7 @@ let loop_entries t (l : An.Loops.loop) =
         + Sim.Profile.edge_exec t.profile ~func:t.func.Ir.Func.name ~src:p
             ~dst:l.An.Loops.header)
     0
-    (try Hashtbl.find preds l.An.Loops.header with Not_found -> [])
+    (try Hashtbl.find t.preds l.An.Loops.header with Not_found -> [])
 
 (* All analysis contexts of a program, keyed by function name, restricted
    to functions reachable from main. *)

@@ -6,7 +6,28 @@ type t = {
   preds : int list array;
   live_in_uses : (string, int list) Hashtbl.t;
   last_def : (string, int) Hashtbl.t;
+  mem : int list;
+  units : (Ir.Op.unit_kind * int) list;
+  n_defs : int;
 }
+
+(* Multiset of datapath unit kinds used by the compute nodes. *)
+let count_units instrs =
+  let tbl = Hashtbl.create 8 in
+  Array.iter
+    (fun instr ->
+      match Ir.Instr.unit_kind instr with
+      | Some k ->
+        let prev = try Hashtbl.find tbl k with Not_found -> 0 in
+        Hashtbl.replace tbl k (prev + 1)
+      | None -> ())
+    instrs;
+  List.filter_map
+    (fun k ->
+      match Hashtbl.find_opt tbl k with
+      | Some c -> Some (k, c)
+      | None -> None)
+    Ir.Op.all_unit_kinds
 
 (* Build the data-flow graph of one block: data dependencies through
    registers plus conservative ordering between same-base memory accesses
@@ -62,36 +83,20 @@ let of_block (b : Ir.Block.t) =
        | Some r -> Hashtbl.replace last_def r.Ir.Instr.id i
        | None -> ()))
     instrs;
-  { block = b; instrs; preds; live_in_uses; last_def }
+  let mem =
+    List.filter (fun i -> Ir.Instr.is_mem instrs.(i)) (List.init n Fun.id)
+  in
+  { block = b; instrs; preds; live_in_uses; last_def; mem;
+    units = count_units instrs;
+    n_defs = List.length (Ir.Block.defs b) }
 
 let size t = Array.length t.instrs
 
-let mem_nodes t =
-  let acc = ref [] in
-  Array.iteri
-    (fun i instr -> if Ir.Instr.is_mem instr then acc := i :: !acc)
-    t.instrs;
-  List.rev !acc
+let mem_nodes t = t.mem
 
 let has_call t = Array.exists Ir.Instr.is_call t.instrs
 
-(* Multiset of datapath unit kinds used by the block's compute nodes. *)
-let unit_counts t =
-  let tbl = Hashtbl.create 8 in
-  Array.iter
-    (fun instr ->
-      match Ir.Instr.unit_kind instr with
-      | Some k ->
-        let prev = try Hashtbl.find tbl k with Not_found -> 0 in
-        Hashtbl.replace tbl k (prev + 1)
-      | None -> ())
-    t.instrs;
-  List.filter_map
-    (fun k ->
-      match Hashtbl.find_opt tbl k with
-      | Some c -> Some (k, c)
-      | None -> None)
-    Ir.Op.all_unit_kinds
+let unit_counts t = t.units
 
 (* Longest path (in summed per-node weights) from any node in [sources] to
    [sink], both inclusive; [None] if no path exists. *)

@@ -11,17 +11,24 @@ type t = {
   preds : int list array;
   live_in_uses : (string, int list) Hashtbl.t;
   last_def : (string, int) Hashtbl.t;
+  mem : int list;  (** load/store nodes, in program order *)
+  units : (Cayman_ir.Op.unit_kind * int) list;
+      (** unit kinds used by compute nodes *)
+  n_defs : int;  (** instructions that define a register *)
 }
 
+(** Builds the graph and its node summaries ([mem], [units], [n_defs]);
+    the queries below read them. *)
 val of_block : Cayman_ir.Block.t -> t
 val size : t -> int
 
-(** Indices of load/store nodes, in program order. *)
+(** Indices of load/store nodes, in program order (a lookup). *)
 val mem_nodes : t -> int list
 
 val has_call : t -> bool
 
-(** Multiset of datapath unit kinds used by compute nodes (stable order). *)
+(** Multiset of datapath unit kinds used by compute nodes (stable order; a
+    lookup). *)
 val unit_counts : t -> (Cayman_ir.Op.unit_kind * int) list
 
 (** Longest path from any of [sources] to [sink] (inclusive of both ends'

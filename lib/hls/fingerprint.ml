@@ -39,7 +39,7 @@ let facts b (canon : Hash.canon) (ctx : Ctx.t) (region : An.Region.t) =
   let profile = ctx.Ctx.profile in
   (* profile: region aggregate + per-block, in canonical block order *)
   Hash.int b (Sim.Profile.region_cycles func profile region);
-  Hash.int b (Sim.Profile.region_entries func profile region);
+  Hash.int b (Ctx.region_entries ctx region);
   List.iter
     (fun l ->
       Hash.str b l;
@@ -106,7 +106,7 @@ let facts b (canon : Hash.canon) (ctx : Ctx.t) (region : An.Region.t) =
           An.Loops.String_set.subset l.An.Loops.blocks region.An.Region.blocks
         then Some (l.An.Loops.header, Ctx.trip ctx l.An.Loops.header)
         else None)
-      (An.Loops.enclosing ctx.Ctx.loops label)
+      (An.Scev.loop_nest ctx.Ctx.scev label)
   in
   List.iter
     (fun label ->

@@ -82,18 +82,6 @@ let default_beta = 4.0
 
 (* --- helpers --- *)
 
-let region_has_call (ctx : Ctx.t) (r : An.Region.t) =
-  An.Region.String_set.exists
-    (fun label -> Dfg.has_call (Ctx.dfg ctx label))
-    r.An.Region.blocks
-
-(* Loops whose blocks lie entirely inside the region. *)
-let loops_inside (ctx : Ctx.t) (r : An.Region.t) =
-  List.filter
-    (fun (l : An.Loops.loop) ->
-      An.Loops.String_set.subset l.An.Loops.blocks r.An.Region.blocks)
-    ctx.Ctx.loops
-
 (* A loop is pipelineable when it is innermost with a straight-line
    body: either the canonical header/body/latch shape, or the two-block
    shape left after CFG simplification fuses the body into the latch. *)
@@ -122,6 +110,107 @@ let unroll_factor (ctx : Ctx.t) config (l : An.Loops.loop) =
       if trip >= config.unroll then config.unroll else 1
     | Some _ | None -> 1
 
+(* --- per-region facts --- *)
+
+(* One memory access of a region with everything the interface decision
+   reads that no configuration changes. *)
+type access = {
+  ac_label : string;
+  ac_pos : int;
+  ac_base : string;
+  ac_is_store : bool;
+  ac_fp : int option;  (* footprint under the region's trip counts *)
+  ac_pattern : An.Scev.pattern;
+  ac_execs : int;  (* executions of the access's block *)
+}
+
+(* What a region offers every configuration: derived once per
+   [estimate_all] call and read by each configuration's decisions. *)
+type facts = {
+  x_region : An.Region.t;
+  x_has_call : bool;
+  x_pipe_loops : (An.Loops.loop * string) list;
+      (* executed pipelineable loops inside the region, with body block *)
+  x_accesses : access list;
+  x_cycles : int;
+  x_entries : int;
+}
+
+let region_facts (ctx : Ctx.t) (r : An.Region.t) =
+  let blocks = r.An.Region.blocks in
+  let has_call =
+    An.Region.String_set.exists
+      (fun label -> Dfg.has_call (Ctx.dfg ctx label))
+      blocks
+  in
+  let inside (l : An.Loops.loop) =
+    An.Loops.String_set.subset l.An.Loops.blocks blocks
+  in
+  let pipe_loops =
+    if has_call then []
+    else
+      List.filter_map
+        (fun l ->
+          if not (inside l) then None
+          else
+            match pipeline_body ctx l with
+            | Some body when Ctx.trip ctx l.An.Loops.header > 0 ->
+              Some (l, body)
+            | Some _ | None -> None)
+        ctx.Ctx.loops
+  in
+  let region_trips label =
+    List.filter_map
+      (fun (l : An.Loops.loop) ->
+        let h = l.An.Loops.header in
+        if inside l then Some (h, Ctx.trip ctx h) else None)
+      (An.Scev.loop_nest ctx.Ctx.scev label)
+  in
+  (* Every memory access of the region, last block's last access first. *)
+  let accesses =
+    if has_call then []
+    else
+      An.Region.String_set.fold
+        (fun label acc ->
+          let dfg = Ctx.dfg ctx label in
+          let trips = region_trips label in
+          let execs = Ctx.block_exec ctx label in
+          List.fold_left
+            (fun acc i ->
+              let instr = dfg.Dfg.instrs.(i) in
+              let base =
+                match Ir.Instr.mem_ref_of instr with
+                | Some m -> m.Ir.Instr.base
+                | None ->
+                  raise
+                    (Internal_error
+                       (Printf.sprintf
+                          "hls.kernel: DFG memory node %d of block %s has no \
+                           memory reference"
+                          i label))
+              in
+              let is_store =
+                match instr with
+                | Ir.Instr.Store _ -> true
+                | Ir.Instr.Assign _ | Ir.Instr.Unary _ | Ir.Instr.Binary _
+                | Ir.Instr.Compare _ | Ir.Instr.Select _ | Ir.Instr.Load _
+                | Ir.Instr.Call _ -> false
+              in
+              { ac_label = label; ac_pos = i; ac_base = base;
+                ac_is_store = is_store;
+                ac_fp =
+                  An.Scev.footprint ctx.Ctx.scev ~block:label ~pos:i ~trips;
+                ac_pattern = An.Scev.classify ctx.Ctx.scev ~block:label ~pos:i;
+                ac_execs = execs }
+              :: acc)
+            acc (Dfg.mem_nodes dfg))
+        blocks []
+  in
+  { x_region = r; x_has_call = has_call; x_pipe_loops = pipe_loops;
+    x_accesses = accesses;
+    x_cycles = Sim.Profile.region_cycles ctx.Ctx.func ctx.Ctx.profile r;
+    x_entries = Ctx.region_entries ctx r }
+
 (* --- interface assignment --- *)
 
 type sp_array = {
@@ -148,55 +237,11 @@ let iface_of assignment label i =
    footprint is cached in a scratchpad (reuse across accesses justifies
    the buffer); remaining stream accesses inside pipelined loops become
    decoupled; everything else stays coupled. *)
-let assign_interfaces (ctx : Ctx.t) (r : An.Region.t) ~beta ~config
+let assign_interfaces facts ~beta ~config
     ~(pipelined : (An.Loops.loop * string * int) list) =
   let table = Hashtbl.create 32 in
-  let invocations =
-    max 1 (Sim.Profile.region_entries ctx.Ctx.func ctx.Ctx.profile r)
-  in
+  let invocations = max 1 facts.x_entries in
   let body_of = List.map (fun (l, body, u) -> body, (l, u)) pipelined in
-  let region_trips label =
-    List.filter_map
-      (fun (l : An.Loops.loop) ->
-        if An.Loops.String_set.subset l.An.Loops.blocks r.An.Region.blocks
-        then Some (l.An.Loops.header, Ctx.trip ctx l.An.Loops.header)
-        else None)
-      (An.Loops.enclosing ctx.Ctx.loops label)
-  in
-  (* Every memory access of the region with its static footprint. *)
-  let accesses =
-    An.Region.String_set.fold
-      (fun label acc ->
-        let dfg = Ctx.dfg ctx label in
-        List.fold_left
-          (fun acc i ->
-            let instr = dfg.Dfg.instrs.(i) in
-            let base =
-              match Ir.Instr.mem_ref_of instr with
-              | Some m -> m.Ir.Instr.base
-              | None ->
-                raise
-                  (Internal_error
-                     (Printf.sprintf
-                        "hls.kernel: DFG memory node %d of block %s has no \
-                         memory reference"
-                        i label))
-            in
-            let is_store =
-              match instr with
-              | Ir.Instr.Store _ -> true
-              | Ir.Instr.Assign _ | Ir.Instr.Unary _ | Ir.Instr.Binary _
-              | Ir.Instr.Compare _ | Ir.Instr.Select _ | Ir.Instr.Load _
-              | Ir.Instr.Call _ -> false
-            in
-            let fp =
-              An.Scev.footprint ctx.Ctx.scev ~block:label ~pos:i
-                ~trips:(region_trips label)
-            in
-            (label, i, base, is_store, fp) :: acc)
-          acc (Dfg.mem_nodes dfg))
-      r.An.Region.blocks []
-  in
   (* Per-array caching decision: total accesses per invocation vs union
      footprint, all accesses statically analyzable. *)
   let sp_bases : (string, int) Hashtbl.t = Hashtbl.create 4 in
@@ -206,11 +251,11 @@ let assign_interfaces (ctx : Ctx.t) (r : An.Region.t) ~beta ~config
        Hashtbl.create 4
      in
      List.iter
-       (fun (label, _, base, _, fp) ->
-         let execs = Ctx.block_exec ctx label in
+       (fun ac ->
+         let base = ac.ac_base in
          let prev = try Hashtbl.find by_base base with Not_found -> [] in
-         Hashtbl.replace by_base base ((execs, fp) :: prev))
-       accesses;
+         Hashtbl.replace by_base base ((ac.ac_execs, ac.ac_fp) :: prev))
+       facts.x_accesses;
      Hashtbl.iter
        (fun base entries ->
          let all_static = List.for_all (fun (_, fp) -> fp <> None) entries in
@@ -238,27 +283,27 @@ let assign_interfaces (ctx : Ctx.t) (r : An.Region.t) ~beta ~config
   (* Per-access assignment. *)
   let sp_info : (string, int * bool * bool * int) Hashtbl.t = Hashtbl.create 4 in
   List.iter
-    (fun (label, i, base, is_store, fp) ->
-      let in_pipe = List.assoc_opt label body_of in
+    (fun ac ->
+      let base = ac.ac_base and is_store = ac.ac_is_store and fp = ac.ac_fp in
+      let in_pipe = List.assoc_opt ac.ac_label body_of in
       let kind =
         match config.mode with
         | Scan_only -> Iface.Scan
         | Coupled_only -> Iface.Coupled
         | Decoupled_preferred ->
-          (match An.Scev.classify ctx.Ctx.scev ~block:label ~pos:i with
+          (match ac.ac_pattern with
            | An.Scev.Invariant | An.Scev.Stream _ -> Iface.Decoupled
            | An.Scev.Irregular -> Iface.Coupled)
         | Scratchpad_preferred | Heuristic ->
           if Hashtbl.mem sp_bases base && fp <> None then Iface.Scratchpad
           else begin
-            let pattern = An.Scev.classify ctx.Ctx.scev ~block:label ~pos:i in
-            match in_pipe, pattern, config.mode with
+            match in_pipe, ac.ac_pattern, config.mode with
             | Some _, (An.Scev.Invariant | An.Scev.Stream _), Heuristic ->
               Iface.Decoupled
             | _, _, _ -> Iface.Coupled
           end
       in
-      Hashtbl.replace table (label, i) kind;
+      Hashtbl.replace table (ac.ac_label, ac.ac_pos) kind;
       match kind with
       | Iface.Scratchpad ->
         let words =
@@ -279,7 +324,7 @@ let assign_interfaces (ctx : Ctx.t) (r : An.Region.t) ~beta ~config
             stored || is_store,
             max banks0 banks )
       | Iface.Coupled | Iface.Decoupled | Iface.Scan -> ())
-    accesses;
+    facts.x_accesses;
   let sp_arrays =
     Hashtbl.fold
       (fun sp_base (sp_words, sp_loaded, sp_stored, sp_banks) acc ->
@@ -303,31 +348,27 @@ type plan = {
   p_seq_blocks : string list;
 }
 
-let plan (ctx : Ctx.t) (r : An.Region.t) ?(beta = default_beta) config =
+(* A configuration's decisions on the region's facts. *)
+let decide (ctx : Ctx.t) facts ~beta config =
   (* A malformed configuration (non-positive unroll, e.g. from a fault
      campaign's corrupted input) is unsynthesizable, not a crash. *)
-  if config.unroll <= 0 then None
-  else if region_has_call ctx r then None
+  if config.unroll <= 0 || facts.x_has_call then None
   else begin
-    let loops_in = loops_inside ctx r in
     let pipelined =
       if not config.pipeline then []
       else
-        List.filter_map
-          (fun l ->
-            match pipeline_body ctx l with
-            | Some body when Ctx.trip ctx l.An.Loops.header > 0 ->
-              Some (l, body, unroll_factor ctx config l)
-            | Some _ | None -> None)
-          loops_in
+        List.map
+          (fun (l, body) -> l, body, unroll_factor ctx config l)
+          facts.x_pipe_loops
     in
-    let assignment = assign_interfaces ctx r ~beta ~config ~pipelined in
+    let assignment = assign_interfaces facts ~beta ~config ~pipelined in
     let pipe_blocks =
       List.fold_left
         (fun acc ((l : An.Loops.loop), _, _) ->
           An.Region.String_set.union acc l.An.Loops.blocks)
         An.Region.String_set.empty pipelined
     in
+    let r = facts.x_region in
     let seq_blocks =
       An.Region.String_set.elements
         (An.Region.String_set.diff r.An.Region.blocks pipe_blocks)
@@ -336,6 +377,9 @@ let plan (ctx : Ctx.t) (r : An.Region.t) ?(beta = default_beta) config =
       { p_region = r; p_config = config; p_pipelined = pipelined;
         p_assignment = assignment; p_seq_blocks = seq_blocks }
   end
+
+let plan (ctx : Ctx.t) (r : An.Region.t) ?(beta = default_beta) config =
+  decide ctx (region_facts ctx r) ~beta config
 
 let plan_iface p label i = iface_of p.p_assignment label i
 
@@ -399,16 +443,14 @@ let m_points = Obs.Metrics.counter "hls.kernel_points"
 
 let fp_schedule = Obs.Faultpoint.register "schedule"
 
-let estimate (ctx : Ctx.t) (r : An.Region.t) ?(beta = default_beta) config =
+let estimate_facts (ctx : Ctx.t) facts ~beta config =
   Obs.Faultpoint.hit fp_schedule;
   Obs.Metrics.incr m_estimates;
-  let func = ctx.Ctx.func in
-  let profile = ctx.Ctx.profile in
-  match plan ctx r ~beta config with
+  match decide ctx facts ~beta config with
   | None -> None
   | Some pl ->
-    let cpu_cycles = Sim.Profile.region_cycles func profile r in
-    let invocations = Sim.Profile.region_entries func profile r in
+    let cpu_cycles = facts.x_cycles in
+    let invocations = facts.x_entries in
     if cpu_cycles <= 0 || invocations <= 0 then None
     else begin
       let pipelined = pl.p_pipelined in
@@ -449,9 +491,7 @@ let estimate (ctx : Ctx.t) (r : An.Region.t) ?(beta = default_beta) config =
             !seq_cycles
             +. (float_of_int execs
                 *. float_of_int (sched.Schedule.length + Tech.seq_ctrl_cycles));
-          let n_defs =
-            List.length (Ir.Block.defs dfg.Dfg.block)
-          in
+          let n_defs = dfg.Dfg.n_defs in
           seq_area :=
             !seq_area
             +. units_area (Dfg.unit_counts dfg)
@@ -482,7 +522,7 @@ let estimate (ctx : Ctx.t) (r : An.Region.t) ?(beta = default_beta) config =
             !pipe_cycles
             +. (float_of_int entries
                 *. float_of_int (depth + (ii * (groups - 1)) + 2));
-          let n_defs = List.length (Ir.Block.defs dfg.Dfg.block) in
+          let n_defs = dfg.Dfg.n_defs in
           pipe_area :=
             !pipe_area
             +. (float_of_int u *. units_area (Dfg.unit_counts dfg))
@@ -531,10 +571,17 @@ let estimate (ctx : Ctx.t) (r : An.Region.t) ?(beta = default_beta) config =
               assignment.sp_arrays }
     end
 
+let estimate (ctx : Ctx.t) (r : An.Region.t) ?(beta = default_beta) config =
+  estimate_facts ctx (region_facts ctx r) ~beta config
+
 (* All design points of a kernel for a list of configurations, dropping
-   duplicates that collapse to the same (cycles, area). *)
+   duplicates that collapse to the same (cycles, area). The region's
+   facts are derived once for all of them. *)
 let estimate_all ctx r ?(beta = default_beta) configs =
-  let points = List.filter_map (fun c -> estimate ctx r ~beta c) configs in
+  let facts = region_facts ctx r in
+  let points =
+    List.filter_map (fun c -> estimate_facts ctx facts ~beta c) configs
+  in
   let seen = Hashtbl.create 8 in
   let points =
     List.filter

@@ -101,14 +101,14 @@ let region_cycles (f : Ir.Func.t) t (r : An.Region.t) =
     r.An.Region.blocks 0
 
 (* Number of executions of the region: entries into its entry block from
-   outside the region. The whole-function region counts invocations. *)
-let region_entries (f : Ir.Func.t) t (r : An.Region.t) =
+   outside the region. The whole-function region counts invocations.
+   [preds] is [f]'s predecessor map ({!Ir.Func.preds}). *)
+let region_entries ~preds (f : Ir.Func.t) t (r : An.Region.t) =
   match r.An.Region.kind with
   | An.Region.Whole_function -> func_calls t f.Ir.Func.name
   | An.Region.Basic_block ->
     block_exec t ~func:f.Ir.Func.name ~label:r.An.Region.entry
   | An.Region.Loop_region | An.Region.Cond_region ->
-    let preds = Ir.Func.preds f in
     let outside =
       List.filter
         (fun p -> not (An.Region.String_set.mem p r.An.Region.blocks))
@@ -120,7 +120,7 @@ let region_entries (f : Ir.Func.t) t (r : An.Region.t) =
       0 outside
 
 (* Average trip count of a loop: body entries per loop entry. *)
-let avg_trip (f : Ir.Func.t) t (l : An.Loops.loop) =
+let avg_trip ~preds (f : Ir.Func.t) t (l : An.Loops.loop) =
   let func = f.Ir.Func.name in
   let back =
     List.fold_left
@@ -128,7 +128,6 @@ let avg_trip (f : Ir.Func.t) t (l : An.Loops.loop) =
         acc + edge_exec t ~func ~src:latch ~dst:l.An.Loops.header)
       0 l.An.Loops.latches
   in
-  let preds = Ir.Func.preds f in
   let entries =
     List.fold_left
       (fun acc p ->

@@ -47,8 +47,13 @@ val block_cycles : Cayman_ir.Func.t -> t -> label:string -> int
 (** Host cycles spent in the region's own blocks across the run. *)
 val region_cycles : Cayman_ir.Func.t -> t -> Cayman_analysis.Region.t -> int
 
-(** Executions of the region (entries from outside). *)
-val region_entries : Cayman_ir.Func.t -> t -> Cayman_analysis.Region.t -> int
+(** Executions of the region (entries from outside). [preds] is the
+    function's predecessor map, {!Cayman_ir.Func.preds}. *)
+val region_entries :
+  preds:(string, string list) Hashtbl.t ->
+  Cayman_ir.Func.t -> t -> Cayman_analysis.Region.t -> int
 
-(** Average body iterations per loop entry. *)
-val avg_trip : Cayman_ir.Func.t -> t -> Cayman_analysis.Loops.loop -> float
+(** Average body iterations per loop entry ([preds] as above). *)
+val avg_trip :
+  preds:(string, string list) Hashtbl.t ->
+  Cayman_ir.Func.t -> t -> Cayman_analysis.Loops.loop -> float

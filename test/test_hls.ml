@@ -375,6 +375,41 @@ let test_saved_seconds_sign () =
       (Hls.Kernel.saved_seconds p > 0.0)
   | None -> Alcotest.fail "estimate failed"
 
+(* [estimate_all] derives a region's facts once for all configurations;
+   its points must be exactly those of one [estimate] per configuration,
+   deduplicated by (cycles, area) in configuration order. *)
+let test_estimate_all_matches_estimate () =
+  List.iter
+    (fun name ->
+      let a =
+        Core.Cayman.analyze
+          (Cayman_suites.Suite.compile (Cayman_suites.Suite.find_exn name))
+      in
+      An.Wpst.iter
+        (fun fname r ->
+          match Hashtbl.find_opt a.Core.Cayman.ctxs fname with
+          | None -> ()
+          | Some ctx ->
+            List.iter
+              (fun mode ->
+                let cs = Hls.Kernel.default_configs mode in
+                let seen = Hashtbl.create 8 in
+                let expected =
+                  List.filter_map (Hls.Kernel.estimate ctx r) cs
+                  |> List.filter (fun (p : Hls.Kernel.point) ->
+                    let key = p.Hls.Kernel.accel_cycles, p.Hls.Kernel.area in
+                    (not (Hashtbl.mem seen key))
+                    && (Hashtbl.replace seen key ();
+                        true))
+                in
+                if Hls.Kernel.estimate_all ctx r cs <> expected then
+                  Alcotest.failf "%s %s %s: estimate_all differs" name
+                    (An.Region.name r)
+                    (Hls.Kernel.mode_to_string mode))
+              [ Hls.Kernel.Heuristic; Hls.Kernel.Coupled_only ])
+        a.Core.Cayman.wpst)
+    [ "3mm"; "atax"; "fft" ]
+
 let tests =
   [ Alcotest.test_case "DFG structure" `Quick test_dfg_structure;
     Alcotest.test_case "schedule respects dependencies" `Quick
@@ -401,4 +436,6 @@ let tests =
       test_unroll_replicates_dep_free_loop;
     Alcotest.test_case "tech table sanity" `Quick test_tech_sanity;
     Alcotest.test_case "saved seconds positive for MAC" `Quick
-      test_saved_seconds_sign ]
+      test_saved_seconds_sign;
+    Alcotest.test_case "estimate_all equals per-config estimate" `Quick
+      test_estimate_all_matches_estimate ]

@@ -360,7 +360,30 @@ let gen_typed_instr =
        map (fun a -> Ir.Instr.Call (Some (breg d), "p", [ a ])) gen_iop);
       1, map (fun a -> Ir.Instr.Call (None, "v", [ a ])) gen_iop ]
 
-let gen_typed_body = list_size (int_range 2 8) gen_typed_instr
+(* An int register assigned an immediate, then compared with that
+   immediate or a neighbour, in reg/imm or imm/reg order: the operands
+   of a random compare rarely meet, and the equality boundary is where
+   [<] and [<=] (or an operator and its mirror) disagree. *)
+let gen_boundary_compare =
+  int_range 0 3 >>= fun d ->
+  int_range 0 1 >>= fun c ->
+  int_range (-3) 9 >>= fun k ->
+  frequency [ 2, return k; 1, return (k - 1); 1, return (k + 1) ] >>= fun k' ->
+  oneofl [ Ir.Op.Lt; Ir.Op.Le; Ir.Op.Gt; Ir.Op.Ge; Ir.Op.Eq; Ir.Op.Ne ]
+  >>= fun op ->
+  map
+    (fun reg_first ->
+      let r = Ir.Instr.Reg (ireg d) and imm = Ir.Instr.Imm_int k' in
+      let a, b = if reg_first then r, imm else imm, r in
+      [ Ir.Instr.Assign (ireg d, Ir.Instr.Imm_int k);
+        Ir.Instr.Compare (breg c, op, a, b) ])
+    bool
+
+let gen_typed_body =
+  map List.concat
+    (list_size (int_range 2 8)
+       (frequency
+          [ 7, map (fun i -> [ i ]) gen_typed_instr; 1, gen_boundary_compare ]))
 
 (* Entry-block initialisation of a random subset of the typed registers
    (each with probability 7/8): later reads of an initialised register

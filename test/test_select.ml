@@ -300,6 +300,39 @@ let test_alpha_bounds_frontier () =
   Alcotest.(check bool) "larger alpha gives shorter frontier" true
     (frontier_len 2.0 <= frontier_len 1.05)
 
+(* The contexts classify every memory access when they are built;
+   selection only reads those tables, under every accelerator model. *)
+let test_select_resolves_no_scev () =
+  let classified = Obs.Metrics.counter "analysis.scev_accesses_classified" in
+  Memo.Store.without_cache (fun () ->
+      List.iter
+        (fun name ->
+          let before = Obs.Metrics.value classified in
+          let a = Core.Cayman.analyze (Suite.compile (Suite.find_exn name)) in
+          let mem_instrs =
+            Hashtbl.fold
+              (fun _ (ctx : Hls.Ctx.t) acc ->
+                List.fold_left
+                  (fun acc b ->
+                    acc + List.length (Cayman_ir.Block.mem_instrs b))
+                  acc ctx.Hls.Ctx.func.Cayman_ir.Func.blocks)
+              a.Core.Cayman.ctxs 0
+          in
+          let built = Obs.Metrics.value classified in
+          Alcotest.(check int)
+            (name ^ ": one classification per memory instruction")
+            mem_instrs (built - before);
+          List.iter
+            (fun mode ->
+              ignore
+                (Core.Select.select ~gen:(Core.Cayman.gen mode)
+                   a.Core.Cayman.ctxs a.Core.Cayman.wpst a.Core.Cayman.profile))
+            [ Hls.Kernel.Heuristic; Hls.Kernel.Coupled_only ];
+          Alcotest.(check int)
+            (name ^ ": selection classifies nothing")
+            built (Obs.Metrics.value classified))
+        [ "atax"; "3mm" ])
+
 let tests =
   [ qcheck_pareto_sorted;
     qcheck_pareto_contains_empty;
@@ -316,4 +349,6 @@ let tests =
       test_baselines_dominated;
     Alcotest.test_case "pruning reduces work" `Quick test_pruning_reduces_work;
     Alcotest.test_case "alpha bounds frontier size" `Quick
-      test_alpha_bounds_frontier ]
+      test_alpha_bounds_frontier;
+    Alcotest.test_case "selection resolves no SCEV form" `Quick
+      test_select_resolves_no_scev ]

@@ -74,7 +74,7 @@ let test_profile_counts () =
   Alcotest.(check int) "header executes N+1 times" 14
     (Sim.Profile.block_exec profile ~func:"main" ~label:header);
   Alcotest.(check (float 0.01)) "avg trip" 13.0
-    (Sim.Profile.avg_trip f profile l);
+    (Sim.Profile.avg_trip ~preds:(Ir.Func.preds f) f profile l);
   Alcotest.(check int) "main called once" 1
     (Sim.Profile.func_calls profile "main")
 
@@ -122,7 +122,7 @@ let test_region_profile () =
   let root = An.Region.pst f in
   (* whole-function region entered 3 times *)
   Alcotest.(check int) "fill region entries" 3
-    (Sim.Profile.region_entries f profile root);
+    (Sim.Profile.region_entries ~preds:(Ir.Func.preds f) f profile root);
   (* its loop region is also entered 3 times *)
   let loop_region = ref None in
   An.Region.iter
@@ -133,7 +133,7 @@ let test_region_profile () =
   (match !loop_region with
    | Some r ->
      Alcotest.(check int) "loop region entries" 3
-       (Sim.Profile.region_entries f profile r);
+       (Sim.Profile.region_entries ~preds:(Ir.Func.preds f) f profile r);
      Alcotest.(check bool) "loop region cycles positive" true
        (Sim.Profile.region_cycles f profile r > 0)
    | None -> Alcotest.fail "no loop region in fill");
